@@ -226,9 +226,19 @@ let prof_cmd =
   let seconds = value & opt float 1.0 & info [ "t"; "seconds" ] ~doc:"Measured seconds (simulated)." in
   let seed = value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed." in
   let geo = value & flag & info [ "geo" ] ~doc:"Geo-distributed latency matrix." in
+  let persist_conv =
+    let parse s =
+      Result.map_error (fun e -> `Msg e) (Fl_harness.Settings.parse_persist s)
+    in
+    let print ppf (c : Fl_persist.Node.config) =
+      Fmt.pf ppf "%s/%s" c.Fl_persist.Node.profile.Fl_persist.Disk.p_name
+        (Fl_persist.Node.sync_policy_to_string c.Fl_persist.Node.sync)
+    in
+    conv (parse, print)
+  in
   let persist =
     value
-    & opt (some string) None
+    & opt (some persist_conv) None
     & info [ "persist" ] ~docv:"POLICY"
         ~doc:
           "Give every node a durability layer (e.g. group_commit, \
@@ -241,7 +251,7 @@ let prof_cmd =
         net = (if geo then Geo else Single_dc);
         duration = Fl_sim.Time.of_float_s seconds;
         seed;
-        persist = Option.map persist_of_string persist }
+        persist }
     in
     (* Build outside the profiled window: construction cost is not
        simulation cost. *)

@@ -56,9 +56,6 @@ let has_disk_faults t =
       | Torn_tail _ | Disk_loss _ | Fsync_stall _ -> true | _ -> false)
     t.faults
 
-let has_corrupt_faults t =
-  List.exists (function Corrupt _ -> true | _ -> false) t.faults
-
 let has_surge_faults t =
   List.exists (function Surge _ -> true | _ -> false) t.faults
 

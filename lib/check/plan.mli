@@ -126,9 +126,6 @@ val restarted : t -> int list
 val has_disk_faults : t -> bool
 (** The plan needs a persistence-enabled cluster. *)
 
-val has_corrupt_faults : t -> bool
-(** The plan contains at least one byte-corruption window. *)
-
 val has_surge_faults : t -> bool
 (** The plan contains at least one flash-crowd window — the explorer
     then attaches an open-loop traffic source and the no-silent-drop

@@ -102,4 +102,3 @@ val halt : 'a t -> unit
     arrive. Fibers exit on their next wake-up. *)
 
 val view : 'a t -> int
-val last_executed : 'a t -> int

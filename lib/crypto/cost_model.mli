@@ -29,9 +29,6 @@ val hash_cost : t -> bytes:int -> int
 val sign_cost : t -> bytes:int -> int
 (** Nanoseconds to hash-and-sign a payload of [bytes] bytes. *)
 
-val verify_cost : t -> bytes:int -> int
-(** Nanoseconds to hash-and-verify a payload of [bytes] bytes. *)
-
 val signatures_per_second : t -> payload_bytes:int -> cores:int -> float
 (** Aggregate signing rate of [cores] parallel signers — the analytic
     counterpart of the paper's Figure 5 measurement. *)

@@ -146,20 +146,6 @@ let digest s =
   end
   else digest_impl s
 
-let digest_bytes_impl b =
-  let t = init () in
-  feed_bytes t b;
-  finalize t
-
-let digest_bytes b =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.sha256;
-    let r = digest_bytes_impl b in
-    Fl_prof.Prof.leave ();
-    r
-  end
-  else digest_bytes_impl b
-
 let hmac_impl ~key msg =
   let block_size = 64 in
   let key = if String.length key > block_size then digest key else key in

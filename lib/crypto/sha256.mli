@@ -23,9 +23,6 @@ val finalize : t -> string
 val digest : string -> string
 (** One-shot digest of a string. *)
 
-val digest_bytes : bytes -> string
-(** One-shot digest of a byte buffer. *)
-
 val hmac : key:string -> string -> string
 (** HMAC-SHA-256 (RFC 2104) of a message under [key]. *)
 

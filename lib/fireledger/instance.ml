@@ -195,6 +195,21 @@ let recent_proposers t count =
   in
   go (max 0 (len - count)) []
 
+(* Re-seat the proposer cursor on a chain this node did not decide
+   round by round (recovery, catch-up, boot, state transfer): the
+   successor of the tip's proposer, skipping the last f proposers
+   (Algorithm 2, lines b1–b3). *)
+let reseat_proposer t =
+  let recent = recent_proposers t (f_of t) in
+  let candidate =
+    match Store.last t.store with
+    | Some b ->
+        Rotation.successor t.rotation ~round:t.round
+          b.Block.header.Header.proposer
+    | None -> 0
+  in
+  t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent candidate
+
 (* The proposer of round r+1, assuming round r is decided by [k]:
    used for the piggyback decision (Algorithm 2, lines 12–14, with the
    b1–b3 skip rule applied predictively). *)
@@ -1020,13 +1035,62 @@ let own_version t r =
     in
     { Types.recovery_round = r; origin = me t; blocks }
 
+(* The one store surgery that rescinds tentative rounds: discard rounds
+   >= [from] and append the signed [adopted] blocks (recovery adopting
+   a version; catch-up dropping a dead suffix with nothing in its
+   place). The discarded rounds' signed headers and timestamps go with
+   them. Our own proposals among the [rescinded] blocks re-queue their
+   client transactions at original fee priority (the conservation
+   contract), and the WAL mirrors the surgery: a truncate record, then
+   [adopted] re-appended. *)
+let rescind_suffix t ~from ~rescinded adopted =
+  let old_len = Store.length t.store in
+  let readmit =
+    List.fold_left
+      (fun acc (old : Block.t) ->
+        let bh = old.Block.header.Header.body_hash in
+        match Hashtbl.find_opt t.pool_txs bh with
+        | Some batch when old.Block.header.Header.proposer = me t ->
+            Hashtbl.remove t.pool_txs bh;
+            batch :: acc
+        | _ -> acc)
+      [] rescinded
+  in
+  match Store.replace_suffix t.store ~from (List.map fst adopted) with
+  | Ok () ->
+      for r = from to old_len - 1 do
+        Hashtbl.remove t.signed_headers r;
+        Hashtbl.remove t.times r
+      done;
+      List.iter
+        (fun (b, s) ->
+          Hashtbl.replace t.signed_headers b.Block.header.Header.round
+            { Types.header = b.Block.header; signature = s })
+        adopted;
+      List.iter
+        (Array.iter (fun (tx, fee) ->
+             incr_c t "txs_readmitted";
+             ignore (Mempool.readmit t.mempool tx ~fee)))
+        readmit;
+      (match t.persist with
+      | Some per ->
+          Fl_persist.Node.log_truncate per ~from;
+          List.iter
+            (fun (b, s) -> Fl_persist.Node.log_append per ~block:b ~signature:s)
+            adopted
+      | None -> ())
+  | Error e ->
+      (* validated beforehand; never expected *)
+      Logs.err (fun m ->
+          m "instance %d: rescind from round %d failed: %a" (me t) from
+            Store.pp_error e)
+
 let recovery t r =
   incr_c t "recoveries";
   let recovery_start = now t in
   trace t ~category:"recovery" "start r=%d era=%d" r t.era;
   Fl_metrics.Recorder.mark (recorder t) "recoveries" ~now:(now t) 1;
   Detector.invalidate t.detector;
-  let f = f_of t in
   let v = own_version t r in
   (match t.ab with Some ab -> Pbft.submit ab v | None -> assert false);
   let box = version_box t r in
@@ -1121,87 +1185,33 @@ let recovery t r =
           | _ -> Some v)
       None adoptable
   in
-  let rescinded = ref 0 in
-  (match best with
-  | None -> ()
-  | Some v -> (
-      let first_round =
-        match v.Types.blocks with
-        | (b, _) :: _ -> b.Block.header.Header.round
-        | [] -> assert false
-      in
-      (* count rounds whose block changes *)
-      List.iter
-        (fun (b, _) ->
-          match Store.get t.store b.Block.header.Header.round with
-          | Some old when not (String.equal (Block.hash old) (Block.hash b))
-            ->
-              incr rescinded
-          | _ -> ())
-        v.Types.blocks;
-      let old_len = Store.length t.store in
-      let new_tip = Types.version_tip v in
-      if new_tip + 1 < old_len then rescinded := !rescinded + (old_len - new_tip - 1);
-      (* Our own rescinded blocks may carry client transactions drained
-         from the mempool; collect them before the store surgery so
-         they can be re-queued at their original fee priority. *)
-      let readmit = ref [] in
-      let collect_mine (old : Block.t) =
-        if old.Block.header.Header.proposer = me t then begin
-          let bh = old.Block.header.Header.body_hash in
-          match Hashtbl.find_opt t.pool_txs bh with
-          | Some batch ->
-              Hashtbl.remove t.pool_txs bh;
-              readmit := batch :: !readmit
-          | None -> ()
-        end
-      in
-      List.iter
-        (fun (b, _) ->
-          match Store.get t.store b.Block.header.Header.round with
-          | Some old when not (String.equal (Block.hash old) (Block.hash b))
-            ->
-              collect_mine old
-          | _ -> ())
-        v.Types.blocks;
-      for r = new_tip + 1 to old_len - 1 do
-        match Store.get t.store r with
-        | Some old -> collect_mine old
-        | None -> ()
-      done;
-      match
-        Store.replace_suffix t.store ~from:first_round
-          (List.map fst v.Types.blocks)
-      with
-      | Ok () ->
-          List.iter
-            (Array.iter (fun (tx, fee) ->
-                 incr_c t "txs_readmitted";
-                 ignore (Mempool.readmit t.mempool tx ~fee)))
-            !readmit;
-          (match t.persist with
-          | Some per ->
-              (* the WAL must mirror the store surgery: a truncate
-                 record, then the adopted suffix re-appended *)
-              Fl_persist.Node.log_truncate per ~from:first_round;
-              List.iter
-                (fun (b, s) ->
-                  Fl_persist.Node.log_append per ~block:b ~signature:s)
-                v.Types.blocks
-          | None -> ());
-          List.iter
-            (fun (b, s) ->
-              Hashtbl.replace t.signed_headers b.Block.header.Header.round
-                { Types.header = b.Block.header; signature = s };
-              Hashtbl.remove t.times b.Block.header.Header.round)
+  let rescinded =
+    match best with
+    | None -> 0
+    | Some v ->
+        let first_round =
+          match v.Types.blocks with
+          | (b, _) :: _ -> b.Block.header.Header.round
+          | [] -> assert false
+        in
+        (* the blocks this version rescinds: rounds whose block
+           changes, then the stored suffix past its tip *)
+        let replaced =
+          List.filter_map
+            (fun (b, _) ->
+              match Store.get t.store b.Block.header.Header.round with
+              | Some old
+                when not (String.equal (Block.hash old) (Block.hash b)) ->
+                  Some old
+              | _ -> None)
             v.Types.blocks
-      | Error e ->
-          (* validated beforehand; never expected *)
-          Logs.err (fun m ->
-              m "instance %d: recovery adoption failed: %a" (me t)
-                Store.pp_error e)));
-  t.output.on_recovery ~round:r ~rescinded:!rescinded;
-  Fl_metrics.Recorder.add (recorder t) "blocks_rescinded" !rescinded;
+          @ Store.sub t.store ~from:(Types.version_tip v + 1)
+        in
+        rescind_suffix t ~from:first_round ~rescinded:replaced v.Types.blocks;
+        List.length replaced
+  in
+  t.output.on_recovery ~round:r ~rescinded;
+  Fl_metrics.Recorder.add (recorder t) "blocks_rescinded" rescinded;
   Hashtbl.remove t.version_boxes r;
   t.era <- t.era + 1;
   (match t.persist with
@@ -1213,21 +1223,13 @@ let recovery t r =
   t.round <- Store.length t.store;
   t.attempt <- 0;
   t.full_mode <- true;
-  let recent = recent_proposers t f in
-  let candidate =
-    match Store.last t.store with
-    | Some b ->
-        Rotation.successor t.rotation ~round:t.round
-          b.Block.header.Header.proposer
-    | None -> 0
-  in
-  t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent candidate;
+  reseat_proposer t;
   trace t ~category:"recovery" "done r=%d rescinded=%d new-round=%d" r
-    !rescinded t.round;
+    rescinded t.round;
   obs_span t ~name:"recovery" ~round:r
     ~args:
       [ ("era", string_of_int (t.era - 1));
-        ("rescinded", string_of_int !rescinded);
+        ("rescinded", string_of_int rescinded);
         ("new_round", string_of_int t.round) ]
     ~t_begin:recovery_start ~t_end:(now t) ();
   mark_definite t
@@ -1332,40 +1334,45 @@ let rescind_tentative_suffix t =
   let from = t.definite_upto + 1 in
   let old_len = Store.length t.store in
   if from < old_len then begin
-    let readmit = ref [] in
-    for r = from to old_len - 1 do
-      (match Store.get t.store r with
-      | Some old when old.Block.header.Header.proposer = me t -> (
-          let bh = old.Block.header.Header.body_hash in
-          match Hashtbl.find_opt t.pool_txs bh with
-          | Some batch ->
-              Hashtbl.remove t.pool_txs bh;
-              readmit := batch :: !readmit
-          | None -> ())
-      | _ -> ());
-      Hashtbl.remove t.signed_headers r;
-      Hashtbl.remove t.times r
-    done;
-    (match Store.replace_suffix t.store ~from [] with
-    | Ok () -> ()
-    | Error e ->
-        Logs.err (fun m ->
-            m "instance %d: tentative rescind failed: %a" (me t)
-              Store.pp_error e));
-    List.iter
-      (Array.iter (fun (tx, fee) ->
-           incr_c t "txs_readmitted";
-           ignore (Mempool.readmit t.mempool tx ~fee)))
-      !readmit;
-    (match t.persist with
-    | Some per -> Fl_persist.Node.log_truncate per ~from
-    | None -> ());
+    rescind_suffix t ~from ~rescinded:(Store.sub t.store ~from) [];
     Fl_metrics.Recorder.add (recorder t) "blocks_rescinded" (old_len - from);
     incr_c t "catchup_rescinds";
     trace t ~category:"catchup" "rescind tentative %d..%d" from (old_len - 1);
     t.round <- Store.length t.store;
     t.attempt <- 0
   end
+
+(* A pulled block is well-formed when its body matches the signed
+   header and passes external validity. *)
+let well_formed t ((sh : Types.signed_header), txs) =
+  sh.Types.header.Header.tx_count = Array.length txs
+  && String.equal (Block.body_hash txs) sh.Types.header.Header.body_hash
+  && t.valid { Block.header = sh.Types.header; txs }
+
+(* Append the pulled block for round [r] if it is well-formed and
+   extends our tip. True on progress. *)
+let accept_pulled t r =
+  match Hashtbl.find_opt t.fetched r with
+  | Some ((sh, txs) as pulled)
+    when String.equal sh.Types.header.Header.prev_hash (Store.last_hash t.store)
+         && well_formed t pulled ->
+      Hashtbl.remove t.fetched r;
+      charge_verify t;
+      charge_hash t ~bytes:(body_bytes txs);
+      accept_block t { Types.sh; body = None } txs ~header_at:(now t);
+      true
+  | _ -> false
+
+(* Ask every peer for round [r]'s block and wait until a reply lands in
+   [fetched] or [timeout] passes. *)
+let request_round t ~r ~timeout ~abort =
+  bcast t (Msg.Req { round = r });
+  let deadline = now t + timeout in
+  let rec wait () =
+    if (not (Hashtbl.mem t.fetched r)) && wait_pulse t ~deadline ~abort then
+      wait ()
+  in
+  wait ()
 
 (* Catch-up sync: a node that was isolated past its peers' live
    protocol window (their per-round OBBC state is garbage-collected)
@@ -1391,61 +1398,31 @@ let maybe_catch_up t =
     while t.round <= target && !stalls < 10 do
       Race.check ~abort;
       let r = t.round in
-      match Hashtbl.find_opt t.fetched r with
-      | Some (sh, txs)
-        when String.equal sh.Types.header.Header.prev_hash
-               (Store.last_hash t.store)
-             && sh.Types.header.Header.tx_count = Array.length txs
-             && String.equal (Block.body_hash txs)
-                  sh.Types.header.Header.body_hash
-             && t.valid { Block.header = sh.Types.header; txs } ->
-          Hashtbl.remove t.fetched r;
-          charge_verify t;
-          charge_hash t ~bytes:(body_bytes txs);
-          accept_block t { Types.sh; body = None } txs ~header_at:(now t);
-          stalls := 0
-      | Some (sh, txs)
-        when t.definite_upto < r - 1
-             && sh.Types.header.Header.tx_count = Array.length txs
-             && String.equal (Block.body_hash txs)
-                  sh.Types.header.Header.body_hash
-             && t.valid { Block.header = sh.Types.header; txs } ->
-          (* A well-formed, proposer-signed block for our next round
-             that does not link onto our tip: the tentative rounds we
-             stored before the absence were rescinded behind our back.
-             Drop them and resume pulling from the definite watermark
-             (worst case an adversarial reply costs us re-pulling
-             blocks we already had — tentative rounds only, so never
-             safety). *)
-          rescind_tentative_suffix t;
-          stalls := 0
-      | found ->
-          if found <> None then Hashtbl.remove t.fetched r;
-          bcast t (Msg.Req { round = r });
-          let deadline = now t + pull_timeout in
-          let rec wait () =
-            if
-              (not (Hashtbl.mem t.fetched r))
-              && wait_pulse t ~deadline ~abort
-            then wait ()
-          in
-          wait ();
-          if not (Hashtbl.mem t.fetched r) then incr stalls
+      if accept_pulled t r then stalls := 0
+      else begin
+        match Hashtbl.find_opt t.fetched r with
+        | Some pulled when t.definite_upto < r - 1 && well_formed t pulled ->
+            (* A well-formed, proposer-signed block for our next round
+               that does not link onto our tip: the tentative rounds we
+               stored before the absence were rescinded behind our back.
+               Drop them and resume pulling from the definite watermark
+               (worst case an adversarial reply costs us re-pulling
+               blocks we already had — tentative rounds only, so never
+               safety). *)
+            rescind_tentative_suffix t;
+            stalls := 0
+        | _ ->
+            Hashtbl.remove t.fetched r;
+            request_round t ~r ~timeout:pull_timeout ~abort;
+            if not (Hashtbl.mem t.fetched r) then incr stalls
+      end
     done;
     (* The long absence inflated the WRB timer; rebase it on a normal
        delivery delay before resuming rounds. *)
     Timer.on_success t.timer ~delay:pull_timeout;
     t.full_mode <- true;
     t.attempt <- 0;
-    let recent = recent_proposers t (f_of t) in
-    let candidate =
-      match Store.last t.store with
-      | Some b ->
-          Rotation.successor t.rotation ~round:t.round
-            b.Block.header.Header.proposer
-      | None -> 0
-    in
-    t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent candidate;
+    reseat_proposer t;
     obs_span t ~name:"catch_up" ~round:from_round
       ~args:
         [ ("target", string_of_int target); ("at", string_of_int t.round) ]
@@ -1479,31 +1456,12 @@ let refresh_epoch t =
    when the gap is too small for [maybe_catch_up]. Returns true on
    progress. *)
 let pull_round t ~r ~timeout =
-  (match Hashtbl.find_opt t.fetched r with
-  | Some _ -> ()
-  | None ->
-      bcast t (Msg.Req { round = r });
-      let deadline = now t + timeout in
-      let rec wait () =
-        if (not (Hashtbl.mem t.fetched r)) && wait_pulse t ~deadline ~abort:None
-        then wait ()
-      in
-      wait ());
-  match Hashtbl.find_opt t.fetched r with
-  | Some (sh, txs)
-    when String.equal sh.Types.header.Header.prev_hash
-           (Store.last_hash t.store)
-         && sh.Types.header.Header.tx_count = Array.length txs
-         && String.equal (Block.body_hash txs) sh.Types.header.Header.body_hash
-         && t.valid { Block.header = sh.Types.header; txs } ->
-      Hashtbl.remove t.fetched r;
-      charge_verify t;
-      charge_hash t ~bytes:(body_bytes txs);
-      accept_block t { Types.sh; body = None } txs ~header_at:(now t);
-      true
-  | found ->
-      if found <> None then Hashtbl.remove t.fetched r;
-      false
+  if not (Hashtbl.mem t.fetched r) then
+    request_round t ~r ~timeout ~abort:None;
+  accept_pulled t r
+  ||
+  (Hashtbl.remove t.fetched r;
+   false)
 
 let round_step t =
   maybe_catch_up t;
@@ -1635,44 +1593,46 @@ let do_handoff t =
         send t ~dst (Msg.Tx_handoff { txs; fees })
   end
 
-(* Seed this (empty, joining) instance from a transferred snapshot —
-   the network twin of [adopt_recovered]. Signed headers are unknown
-   (snapshots carry no signatures); the joiner re-collects them as it
-   follows live rounds. If a durability layer is attached, the adopted
-   prefix is fed through it (application replay + a durable snapshot)
-   so a later cold restart recovers locally. *)
-let adopt_snapshot t (snap : Fl_persist.Snapshot.t) chain =
+(* The one adoption path for a whole chain this (empty) instance did
+   not decide: boot from disk and joiner state transfer. Copy [src]
+   into the store, let [pay] charge re-hashing its bodies (given their
+   byte total) before the adopted state becomes visible, then set the
+   definite watermark and era, restart rounds at the tip, rebuild the
+   epoch schedule and re-seat the proposer exactly as recovery does
+   after adopting a version. *)
+let adopt_chain t src ~definite ~era ~pay =
   let body_bytes_total = ref 0 in
-  for i = 0 to Store.length chain - 1 do
-    match Store.get chain i with
+  for i = 0 to Store.length src - 1 do
+    match Store.get src i with
     | Some b -> (
         body_bytes_total := !body_bytes_total + b.Block.header.Header.body_size;
         match Store.append ~check_body:false t.store b with
         | Ok () -> ()
         | Error e ->
-            Fmt.failwith "instance %d: transferred append round %d: %a" (me t)
-              i Store.pp_error e)
+            Fmt.failwith "instance %d: adopted append round %d: %a" (me t) i
+              Store.pp_error e)
     | None -> ()
   done;
-  if Store.pruned_below chain > 0 then
-    Store.prune t.store ~keep_from:(Store.pruned_below chain);
-  charge_hash t ~bytes:!body_bytes_total;
-  t.definite_upto <-
-    min snap.Fl_persist.Snapshot.upto (Store.length t.store - 1);
-  t.era <- snap.Fl_persist.Snapshot.era;
+  if Store.pruned_below src > 0 then
+    Store.prune t.store ~keep_from:(Store.pruned_below src);
+  pay !body_bytes_total;
+  t.definite_upto <- min definite (Store.length t.store - 1);
+  t.era <- era;
   t.round <- Store.length t.store;
   t.attempt <- 0;
   t.full_mode <- true;
   rebuild_epochs t;
-  let recent = recent_proposers t (f_of t) in
-  let candidate =
-    match Store.last t.store with
-    | Some b ->
-        Rotation.successor t.rotation ~round:t.round
-          b.Block.header.Header.proposer
-    | None -> 0
-  in
-  t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent candidate;
+  reseat_proposer t
+
+(* Seed this (empty, joining) instance from a transferred snapshot.
+   Signed headers are unknown (snapshots carry no signatures); the
+   joiner re-collects them as it follows live rounds. If a durability
+   layer is attached, the adopted prefix is fed through it (application
+   replay + a durable snapshot) so a later cold restart recovers
+   locally. *)
+let adopt_snapshot t (snap : Fl_persist.Snapshot.t) chain =
+  adopt_chain t chain ~definite:snap.Fl_persist.Snapshot.upto
+    ~era:snap.Fl_persist.Snapshot.era ~pay:(fun bytes -> charge_hash t ~bytes);
   (match t.persist with
   | Some per ->
       for r = 0 to t.definite_upto do
@@ -1913,27 +1873,15 @@ let spawn_service_fiber t =
 (* ---------- construction ---------- *)
 
 (* Seed a freshly built instance from what recovery read off the
-   media: copy the recovered chain into the (immutable-field) store,
-   restore signed headers, definiteness watermark and era, and
-   position the round/proposer cursors exactly as the recovery path
-   does after adopting a version. The per-block hashing a real node
-   pays to re-verify its chain is folded into [boot_delay]. *)
+   media, through the same adoption path as a state transfer, plus the
+   signed headers the WAL kept. The per-block hashing a real node pays
+   to re-verify its chain is folded into [boot_delay]. *)
 let adopt_recovered t (r : Fl_persist.Recovery.recovered) =
-  let src = r.Fl_persist.Recovery.r_store in
-  let body_bytes_total = ref 0 in
-  for i = 0 to Store.length src - 1 do
-    match Store.get src i with
-    | Some b -> (
-        body_bytes_total := !body_bytes_total + b.Block.header.Header.body_size;
-        match Store.append ~check_body:false t.store b with
-        | Ok () -> ()
-        | Error e ->
-            Fmt.failwith "instance %d: recovered append round %d: %a" (me t) i
-              Store.pp_error e)
-    | None -> ()
-  done;
-  if Store.pruned_below src > 0 then
-    Store.prune t.store ~keep_from:(Store.pruned_below src);
+  adopt_chain t r.Fl_persist.Recovery.r_store
+    ~definite:r.Fl_persist.Recovery.r_definite ~era:r.Fl_persist.Recovery.r_era
+    ~pay:(fun bytes ->
+      t.boot_delay <-
+        t.boot_delay + Fl_crypto.Cost_model.hash_cost t.env.Env.cost ~bytes);
   List.iter
     (fun (round, signature) ->
       match Store.get t.store round with
@@ -1942,25 +1890,6 @@ let adopt_recovered t (r : Fl_persist.Recovery.recovered) =
             { Types.header = b.Block.header; signature }
       | None -> ())
     r.Fl_persist.Recovery.r_sigs;
-  t.definite_upto <-
-    min r.Fl_persist.Recovery.r_definite (Store.length t.store - 1);
-  t.era <- r.Fl_persist.Recovery.r_era;
-  t.round <- Store.length t.store;
-  t.attempt <- 0;
-  t.full_mode <- true;
-  rebuild_epochs t;
-  let recent = recent_proposers t (f_of t) in
-  let candidate =
-    match Store.last t.store with
-    | Some b ->
-        Rotation.successor t.rotation ~round:t.round
-          b.Block.header.Header.proposer
-    | None -> 0
-  in
-  t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent candidate;
-  t.boot_delay <-
-    t.boot_delay
-    + Fl_crypto.Cost_model.hash_cost t.env.Env.cost ~bytes:!body_bytes_total;
   trace t ~category:"recovery" "boot: recovered len=%d definite=%d era=%d"
     (Store.length t.store) t.definite_upto t.era
 
@@ -2190,7 +2119,6 @@ let recoveries t = Fl_metrics.Recorder.counter (recorder t) "recoveries"
 let era t = t.era
 let persist t = t.persist
 let active_epoch t = t.active_epoch
-let epoch_of_round t ~round = epoch_at t round
 let epochs_scheduled t = List.length t.epochs - 1
 let is_member t = Epoch.is_member (epoch_at t t.round) (me t)
 

@@ -118,10 +118,6 @@ val persist : t -> Fl_persist.Node.t option
 val active_epoch : t -> Epoch.t
 (** The epoch governing the current round. *)
 
-val epoch_of_round : t -> round:int -> Epoch.t
-(** The epoch governing an arbitrary round (genesis for rounds before
-    any scheduled activation). *)
-
 val epochs_scheduled : t -> int
 (** Successor epochs scheduled from definite blocks so far. *)
 

@@ -27,9 +27,5 @@ let effective_jobs ?jobs () =
 
 let map ?jobs n f = Fl_sim.Par.map ~jobs:(effective_jobs ?jobs ()) n f
 
-let map_list ?jobs xs f =
-  let arr = Array.of_list xs in
-  Array.to_list (map ?jobs (Array.length arr) (fun i -> f arr.(i)))
-
 let run_settings ?jobs settings =
   map ?jobs (Array.length settings) (fun i -> Settings.run_flo settings.(i))

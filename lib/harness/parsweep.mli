@@ -23,9 +23,6 @@ val map : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [map ?jobs n f] is [[| f 0; ...; f (n-1) |]] over
     [effective_jobs ?jobs ()] domains. *)
 
-val map_list : ?jobs:int -> 'a list -> ('a -> 'b) -> 'b list
-(** List-shaped [map], preserving order. *)
-
 val run_settings :
   ?jobs:int -> Settings.flo_setting array -> Settings.result array
 (** Run one simulation per setting, in order — the sweep primitive

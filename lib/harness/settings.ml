@@ -49,34 +49,50 @@ type flo_setting = {
   on_deliver : (node:int -> Fl_flo.Node.delivery -> unit) option;
 }
 
-(* "never" | "group_commit" | "group_commit:5ms" | "every_block",
-   optionally prefixed by a disk profile: "ssd/group_commit". *)
-let persist_of_string s =
+(* "never" | "group_commit" | "group_commit:5" | "group_commit:5ms" |
+   "every_block", optionally prefixed by a disk profile:
+   "ssd/group_commit". *)
+let parse_persist s =
+  let bad why = Error (Printf.sprintf "persistence policy %S: %s" s why) in
   let profile, policy =
     match String.index_opt s '/' with
-    | Some i -> (
-        let p = String.sub s 0 i in
-        match Fl_persist.Disk.profile_of_string p with
-        | Some profile ->
-            (profile, String.sub s (i + 1) (String.length s - i - 1))
-        | None -> invalid_arg (Printf.sprintf "persist_of_string: disk %S" p))
-    | None -> (Fl_persist.Disk.nvme, s)
+    | Some i ->
+        ( Fl_persist.Disk.profile_of_string (String.sub s 0 i),
+          String.sub s (i + 1) (String.length s - i - 1) )
+    | None -> (Some Fl_persist.Disk.nvme, s)
+  in
+  (* a whole number of milliseconds up to a minute (bounded so the
+     nanosecond conversion cannot overflow), "ms" optional *)
+  let interval iv =
+    let digits =
+      if String.ends_with ~suffix:"ms" iv then
+        String.sub iv 0 (String.length iv - 2)
+      else iv
+    in
+    if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+    then
+      match int_of_string_opt digits with
+      | Some ms when ms > 0 && ms <= 60_000 -> Some (Fl_persist.Node.Group_commit (Time.ms ms))
+      | _ -> None
+    else None
   in
   let sync =
     match String.split_on_char ':' policy with
-    | [ "never" ] -> Fl_persist.Node.Never
-    | [ "group_commit" ] -> Fl_persist.Node.Group_commit (Time.ms 2)
-    | [ "group_commit"; iv ] ->
-        let iv =
-          match String.index_opt iv 'm' with
-          | Some i -> int_of_string (String.sub iv 0 i)
-          | None -> int_of_string iv
-        in
-        Fl_persist.Node.Group_commit (Time.ms iv)
-    | [ "every_block" ] -> Fl_persist.Node.Every_block
-    | _ -> invalid_arg (Printf.sprintf "persist_of_string: %S" s)
+    | [ "never" ] -> Some Fl_persist.Node.Never
+    | [ "group_commit" ] -> Some (Fl_persist.Node.Group_commit (Time.ms 2))
+    | [ "group_commit"; iv ] -> interval iv
+    | [ "every_block" ] -> Some Fl_persist.Node.Every_block
+    | _ -> None
   in
-  { Fl_persist.Node.default_config with Fl_persist.Node.profile; sync }
+  match (profile, sync) with
+  | None, _ -> bad "unknown disk profile (nvme, ssd or hdd)"
+  | _, None ->
+      bad "expected never, group_commit[:<ms>] or every_block"
+  | Some profile, Some sync ->
+      Ok { Fl_persist.Node.default_config with Fl_persist.Node.profile; sync }
+
+let persist_of_string s =
+  match parse_persist s with Ok c -> c | Error e -> invalid_arg e
 
 let flo ~n ~workers ~batch ~tx_size =
   { n;

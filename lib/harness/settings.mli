@@ -65,11 +65,16 @@ type flo_setting = {
           finalized (default [None]) *)
 }
 
-val persist_of_string : string -> Fl_persist.Node.config
-(** ["never"], ["group_commit"], ["group_commit:5ms"] or
+val parse_persist : string -> (Fl_persist.Node.config, string) result
+(** ["never"], ["group_commit"], ["group_commit:5"] /
+    ["group_commit:5ms"] (an interval of 1 to 60000 milliseconds) or
     ["every_block"], optionally prefixed by a disk profile —
-    ["ssd/group_commit"], ["hdd/every_block"]. Raises
-    [Invalid_argument] on anything else. *)
+    ["ssd/group_commit"], ["hdd/every_block"]. [Error] with a readable
+    message on anything else; never raises. *)
+
+val persist_of_string : string -> Fl_persist.Node.config
+(** {!parse_persist} for trusted constants: raises [Invalid_argument]
+    with its message on a malformed policy. *)
 
 val flo : n:int -> workers:int -> batch:int -> tx_size:int -> flo_setting
 (** A default single-DC fault-free setting (m5.xlarge, 1 s warmup,

@@ -98,7 +98,4 @@ val pending_ids : t -> int list
 (** Ids admitted but not yet finalized/evicted — the set the
     no-silent-drop oracle checks against pool + in-flight contents. *)
 
-val owns_id : t -> int -> bool
-(** Whether a transaction id was generated by this source. *)
-
 val recorder : t -> Fl_metrics.Recorder.t

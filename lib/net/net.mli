@@ -74,8 +74,6 @@ val heal : t -> unit
 (** Remove the partition (the filter, loss and corruption layers
     persist). *)
 
-val partitioned : t -> bool
-
 val set_loss : t -> node:int -> float -> unit
 (** Drop each of [node]'s outbound wire frames with the given
     probability (0 clears the entry — the window-close control).

@@ -73,9 +73,5 @@ val of_client_times :
 val client_total : client_components -> Time.t
 (** Exactly [final - submit]. *)
 
-val client_names : string list
-(** Histogram names written by {!record_client}:
-    ["phase_admission_wait"; "client_consensus"; "latency_client_e2e"]. *)
-
 val record_client : Fl_metrics.Recorder.t -> client_components -> unit
 (** Observe both components and their telescoped end-to-end total. *)

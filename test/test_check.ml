@@ -206,6 +206,28 @@ let test_accountability () =
     (r.Explorer.evidence_count > 0);
   Alcotest.(check int) "oracles quiet" 0 r.Explorer.total_violations
 
+(* Equivalence pins for the paths that adopt a chain the node did not
+   decide itself: recovery (Alg. 3), cold restart from disk, genesis
+   catch-up after disk loss, and joiner state transfer. A refactor of
+   those paths must replay every seed identically — same event total,
+   same fingerprint. *)
+let explore_pinned ~mode ~events ~fingerprint () =
+  let s =
+    match mode with
+    | `Plain -> Explorer.explore ~seeds:6 ~base_seed:1 ~budget_ms:800 ()
+    | `Disk ->
+        Explorer.explore ~with_disk_faults:true
+          ~persist:Fl_persist.Node.default_config ~seeds:6 ~base_seed:1
+          ~budget_ms:800 ()
+    | `Reconfig ->
+        Explorer.explore ~with_reconfig_faults:true ~seeds:6 ~base_seed:1
+          ~budget_ms:800 ()
+  in
+  Alcotest.(check int) "no failing seeds" 0 (List.length s.Explorer.failures);
+  Alcotest.(check int) "pinned event total" events s.Explorer.total_events;
+  Alcotest.(check string)
+    "pinned fingerprint" fingerprint (Explorer.fingerprint s)
+
 let suite =
   [ Alcotest.test_case "explorer smoke (25 seeds, deterministic)" `Slow
       test_explorer_smoke;
@@ -222,4 +244,14 @@ let suite =
     Alcotest.test_case "flo merge oracle quiet on healthy run" `Quick
       (flo_merge ~tamper:false);
     Alcotest.test_case "flo merge oracle flags tampered stream" `Quick
-      (flo_merge ~tamper:true) ]
+      (flo_merge ~tamper:true);
+    Alcotest.test_case "pinned: recovery seeds replay identically" `Slow
+      (explore_pinned ~mode:`Plain ~events:303763
+         ~fingerprint:"99864247b30eec00");
+    Alcotest.test_case "pinned: disk restart/catch-up replay identically"
+      `Slow
+      (explore_pinned ~mode:`Disk ~events:353747
+         ~fingerprint:"3ba19166a399eb70");
+    Alcotest.test_case "pinned: state transfers replay identically" `Slow
+      (explore_pinned ~mode:`Reconfig ~events:443736
+         ~fingerprint:"56a927b02d54d5f3") ]

@@ -89,6 +89,47 @@ let test_experiment_registry () =
   Alcotest.(check bool) "unknown id rejected" false
     (Experiments.run_by_id "nope" Experiments.Quick)
 
+(* The --persist grammar: every documented form parses to the intended
+   disk profile and sync policy; anything else is an [Error] with a
+   message — never an exception escaping to the command line. *)
+let test_parse_persist () =
+  let module N = Fl_persist.Node in
+  let valid =
+    [ ("never", "nvme", N.Never);
+      ("group_commit", "nvme", N.Group_commit (Time.ms 2));
+      ("group_commit:5", "nvme", N.Group_commit (Time.ms 5));
+      ("group_commit:5ms", "nvme", N.Group_commit (Time.ms 5));
+      ("every_block", "nvme", N.Every_block);
+      ("ssd/every_block", "ssd", N.Every_block);
+      ("hdd/group_commit:10ms", "hdd", N.Group_commit (Time.ms 10));
+      ("group_commit:60000", "nvme", N.Group_commit (Time.ms 60_000));
+      ("nvme/never", "nvme", N.Never) ]
+  in
+  List.iter
+    (fun (s, profile, sync) ->
+      match Settings.parse_persist s with
+      | Ok c ->
+          Alcotest.(check string)
+            (s ^ " profile") profile c.N.profile.Fl_persist.Disk.p_name;
+          Alcotest.(check bool) (s ^ " sync") true (c.N.sync = sync)
+      | Error e -> Alcotest.failf "%S rejected: %s" s e)
+    valid;
+  List.iter
+    (fun s ->
+      match Settings.parse_persist s with
+      | Ok _ -> Alcotest.failf "%S accepted" s
+      | Error e -> Alcotest.(check bool) (s ^ " has a message") true (e <> ""))
+    [ ""; "ssd"; "ssd/"; "tape/never"; "group_commit:5x"; "group_commit:";
+      "group_commit:0"; "group_commit:-5"; "group_commit:0x10";
+      "group_commit:60001"; "group_commit:99999999999999999999";
+      "group_commit:5:6"; "every_block:1";
+      "/never"; "ssd/hdd/never"; "NEVER" ];
+  Alcotest.check_raises "trusted form raises on garbage"
+    (Invalid_argument
+       "persistence policy \"ssd\": expected never, group_commit[:<ms>] or \
+        every_block")
+    (fun () -> ignore (Settings.persist_of_string "ssd"))
+
 let suite =
   [ Alcotest.test_case "table formatting" `Quick test_table_formatting;
     Alcotest.test_case "run_flo metrics" `Quick test_run_flo_produces_metrics;
@@ -99,4 +140,5 @@ let suite =
       test_byzantine_fault_injection;
     Alcotest.test_case "loss injection" `Quick test_loss_fault_injection;
     Alcotest.test_case "latency cdf" `Quick test_latency_cdf;
-    Alcotest.test_case "experiment registry" `Quick test_experiment_registry ]
+    Alcotest.test_case "experiment registry" `Quick test_experiment_registry;
+    Alcotest.test_case "--persist grammar" `Quick test_parse_persist ]
