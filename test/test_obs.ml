@@ -36,6 +36,69 @@ let fireledger_fp = "0d477c48c80db7bc"
 let flo_count = 1176
 let flo_fp = "ae6e67b39c6410c4"
 
+(* Sink-independent run digest: FNV-1a 64 over the engine's event
+   count and clock, every recorder counter and histogram (count, sum),
+   and each instance's definite watermark with the raw hash of the
+   block there. It reads only state the protocol itself keeps, so it
+   is the same whether or not an observability sink or the profiler is
+   installed — which is exactly what it certifies. *)
+let digest_pins =
+  [ ("fireledger", (13408, "4e3e64dd38a51b3d"));
+    ("flo", (26537, "69b5a57afacaa6af")) ]
+
+let run_digest ~engine ~recorder instances =
+  let h = ref 0xcbf29ce484222325L in
+  let add s =
+    h :=
+      String.fold_left
+        (fun acc c ->
+          Int64.mul
+            (Int64.logxor acc (Int64.of_int (Char.code c)))
+            1099511628211L)
+        !h s
+  in
+  add
+    (Printf.sprintf "ev=%d now=%d\n" (Engine.processed engine)
+       (Engine.now engine));
+  List.iter
+    (fun (k, v) -> add (Printf.sprintf "c %s=%d\n" k v))
+    (Fl_metrics.Recorder.counters recorder);
+  List.iter
+    (fun (k, hist) ->
+      add
+        (Printf.sprintf "h %s n=%d s=%d\n" k
+           (Fl_metrics.Histogram.count hist)
+           (Fl_metrics.Histogram.sum hist)))
+    (Fl_metrics.Recorder.histograms recorder);
+  List.iter
+    (fun i ->
+      let d = Fl_fireledger.Instance.definite_upto i in
+      let hash =
+        match Fl_chain.Store.get (Fl_fireledger.Instance.store i) d with
+        | Some b -> Fl_chain.Block.hash b
+        | None -> "-"
+      in
+      add (Printf.sprintf "%d:%s\n" d hash))
+    instances;
+  (Engine.processed engine, Printf.sprintf "%016Lx" !h)
+
+let fireledger_digest (c : Fl_fireledger.Cluster.t) =
+  run_digest ~engine:c.Fl_fireledger.Cluster.engine
+    ~recorder:c.Fl_fireledger.Cluster.recorder
+    (Array.to_list c.Fl_fireledger.Cluster.instances)
+
+(* node-major, then by worker *)
+let flo_digest (c : Fl_flo.Cluster.t) =
+  run_digest ~engine:c.Fl_flo.Cluster.engine
+    ~recorder:c.Fl_flo.Cluster.recorder
+    (List.concat_map Array.to_list (Array.to_list c.Fl_flo.Cluster.workers))
+
+let check_digest which got =
+  Alcotest.(check (pair int string))
+    (which ^ " run digest")
+    (List.assoc which digest_pins)
+    got
+
 let run_fireledger ?obs () =
   let trace = Trace.create () in
   let c =
@@ -44,6 +107,7 @@ let run_fireledger ?obs () =
   in
   Fl_fireledger.Cluster.start c;
   Fl_fireledger.Cluster.run ~until:(Time.ms 300) c;
+  check_digest "fireledger" (fireledger_digest c);
   trace
 
 let run_flo ?obs ?on_deliver () =
@@ -60,7 +124,8 @@ let test_fingerprint_pinned_off () =
   let t1 = run_fireledger () in
   Alcotest.(check int) "fireledger count" fireledger_count (Trace.count t1);
   Alcotest.(check string) "fireledger fp" fireledger_fp (Trace.fingerprint t1);
-  let t2, _ = run_flo () in
+  let t2, c2 = run_flo () in
+  check_digest "flo" (flo_digest c2);
   Alcotest.(check int) "flo count" flo_count (Trace.count t2);
   Alcotest.(check string) "flo fp" flo_fp (Trace.fingerprint t2)
 
@@ -71,7 +136,8 @@ let test_fingerprint_unchanged_with_obs () =
   Alcotest.(check string) "fireledger fp" fireledger_fp (Trace.fingerprint t1);
   Alcotest.(check bool) "sink captured events" true (Obs.count sink > 0);
   let sink2 = Obs.create () in
-  let t2, _ = run_flo ~obs:sink2 () in
+  let t2, c2 = run_flo ~obs:sink2 () in
+  check_digest "flo" (flo_digest c2);
   Alcotest.(check int) "flo count" flo_count (Trace.count t2);
   Alcotest.(check string) "flo fp" flo_fp (Trace.fingerprint t2);
   Alcotest.(check bool) "flo sink captured events" true (Obs.count sink2 > 0)

@@ -217,6 +217,7 @@ let test_fingerprint_unchanged_with_prof () =
   Alcotest.(check int) "flo count" 1176 (Fl_sim.Trace.count trace);
   Alcotest.(check string) "flo fp" "ae6e67b39c6410c4"
     (Fl_sim.Trace.fingerprint trace);
+  Test_obs.check_digest "flo" (Test_obs.flo_digest c);
   (* And the profile itself saw the run: engine dispatch plus at least
      one nested subsystem accumulated time. *)
   Alcotest.(check bool) "attributed > 0" true (Prof.attributed_ns () > 0);
