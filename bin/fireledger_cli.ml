@@ -3,6 +3,16 @@
 
 open Cmdliner
 
+(* A strictly positive integer: zero or less is a usage error (exit
+   124), not an exception from deep inside the run. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v > 0 -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let mode_term =
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Run the full paper-scale sweep.")
@@ -52,9 +62,9 @@ let run_cmd =
 
 let custom_cmd =
   let open Arg in
-  let n = value & opt int 4 & info [ "n" ] ~doc:"Cluster size." in
-  let w = value & opt int 4 & info [ "w"; "workers" ] ~doc:"FLO workers." in
-  let batch = value & opt int 1000 & info [ "b"; "batch" ] ~doc:"Block size (txs)." in
+  let n = value & opt pos_int 4 & info [ "n" ] ~doc:"Cluster size." in
+  let w = value & opt pos_int 4 & info [ "w"; "workers" ] ~doc:"FLO workers." in
+  let batch = value & opt pos_int 1000 & info [ "b"; "batch" ] ~doc:"Block size (txs)." in
   let sigma = value & opt int 512 & info [ "s"; "tx-size" ] ~doc:"Tx size (bytes)." in
   let geo = value & flag & info [ "geo" ] ~doc:"Geo-distributed latency matrix." in
   let seconds = value & opt float 4.0 & info [ "t"; "seconds" ] ~doc:"Measured seconds (simulated)." in
@@ -93,44 +103,6 @@ let custom_cmd =
     Term.(
       const run $ n $ w $ batch $ sigma $ geo $ seconds $ seed $ byzantine
       $ crash)
-
-let trace_cmd =
-  let open Arg in
-  let n = value & opt int 4 & info [ "n" ] ~doc:"Cluster size." in
-  let seconds = value & opt float 1.0 & info [ "t"; "seconds" ] ~doc:"Simulated seconds." in
-  let byzantine = value & flag & info [ "byzantine" ] ~doc:"Make node 1 equivocate." in
-  let limit = value & opt int 40 & info [ "limit" ] ~doc:"Events to print." in
-  let run n seconds byzantine limit =
-    let trace = Fl_sim.Trace.create () in
-    let config =
-      { (Fl_fireledger.Config.default ~n) with
-        Fl_fireledger.Config.batch_size = 50;
-        tx_size = 128 }
-    in
-    let behavior i =
-      if byzantine && i = 1 then Fl_fireledger.Instance.Equivocator
-      else Fl_fireledger.Instance.Honest
-    in
-    let c = Fl_fireledger.Cluster.create ~trace ~behavior ~config () in
-    Fl_fireledger.Cluster.start c;
-    Fl_fireledger.Cluster.run ~until:(Fl_sim.Time.of_float_s seconds) c;
-    Printf.printf "%d events captured; fingerprint %s; last %d:\n"
-      (Fl_sim.Trace.count trace)
-      (Fl_sim.Trace.fingerprint trace)
-      limit;
-    let events = Fl_sim.Trace.events trace in
-    let skip = max 0 (List.length events - limit) in
-    List.iteri
-      (fun i e ->
-        if i >= skip then
-          Format.printf "%a  %-10s %s@." Fl_sim.Time.pp
-            e.Fl_sim.Trace.at e.Fl_sim.Trace.category e.Fl_sim.Trace.detail)
-      events
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a cluster with structured tracing and dump the tail.")
-    Term.(const run $ n $ seconds $ byzantine $ limit)
 
 let export_cmd =
   let open Arg in
@@ -177,4 +149,4 @@ let () =
   in
   exit
     (Cmd.eval
-       (Cmd.group info [ list_cmd; run_cmd; custom_cmd; trace_cmd; export_cmd ]))
+       (Cmd.group info [ list_cmd; run_cmd; custom_cmd; export_cmd ]))

@@ -17,6 +17,16 @@
 
 open Cmdliner
 
+(* A strictly positive integer: zero or less is a usage error (exit
+   124), not an exception from deep inside the run. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v > 0 -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let split_commas s =
   String.split_on_char ',' s |> List.filter (fun x -> x <> "")
 
@@ -31,7 +41,7 @@ let out_term =
 let nodes_term =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (list int)) None
     & info [ "nodes" ] ~docv:"IDS"
         ~doc:"Keep only these node ids (comma-separated).")
 
@@ -59,7 +69,7 @@ let to_ms_term =
 let capacity_term =
   Arg.(
     value
-    & opt int 1_000_000
+    & opt pos_int 1_000_000
     & info [ "capacity" ] ~docv:"N"
         ~doc:"Sink ring-buffer capacity (oldest events evicted).")
 
@@ -77,7 +87,7 @@ type filt = {
 
 let filt_term =
   let make nodes cats from_ms to_ms =
-    { f_nodes = Option.map (fun s -> List.map int_of_string (split_commas s)) nodes;
+    { f_nodes = nodes;
       f_cats = Option.map split_commas cats;
       f_from = Option.map (fun ms -> int_of_float (ms *. 1e6)) from_ms;
       f_to = Option.map (fun ms -> int_of_float (ms *. 1e6)) to_ms }
@@ -116,9 +126,9 @@ let finish ~out ~filt ~no_timeline ~sink ~recorder =
 
 let run_cmd =
   let open Arg in
-  let n = value & opt int 4 & info [ "n" ] ~doc:"Cluster size." in
-  let w = value & opt int 2 & info [ "w"; "workers" ] ~doc:"FLO workers." in
-  let batch = value & opt int 100 & info [ "b"; "batch" ] ~doc:"Block size (txs)." in
+  let n = value & opt pos_int 4 & info [ "n" ] ~doc:"Cluster size." in
+  let w = value & opt pos_int 2 & info [ "w"; "workers" ] ~doc:"FLO workers." in
+  let batch = value & opt pos_int 100 & info [ "b"; "batch" ] ~doc:"Block size (txs)." in
   let sigma = value & opt int 128 & info [ "s"; "tx-size" ] ~doc:"Tx size (bytes)." in
   let seconds = value & opt float 1.0 & info [ "t"; "seconds" ] ~doc:"Measured seconds (simulated)." in
   let seed = value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed." in
@@ -219,9 +229,9 @@ let plan_cmd =
 
 let prof_cmd =
   let open Arg in
-  let n = value & opt int 4 & info [ "n" ] ~doc:"Cluster size." in
-  let w = value & opt int 2 & info [ "w"; "workers" ] ~doc:"FLO workers." in
-  let batch = value & opt int 100 & info [ "b"; "batch" ] ~doc:"Block size (txs)." in
+  let n = value & opt pos_int 4 & info [ "n" ] ~doc:"Cluster size." in
+  let w = value & opt pos_int 2 & info [ "w"; "workers" ] ~doc:"FLO workers." in
+  let batch = value & opt pos_int 100 & info [ "b"; "batch" ] ~doc:"Block size (txs)." in
   let sigma = value & opt int 128 & info [ "s"; "tx-size" ] ~doc:"Tx size (bytes)." in
   let seconds = value & opt float 1.0 & info [ "t"; "seconds" ] ~doc:"Measured seconds (simulated)." in
   let seed = value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed." in

@@ -20,7 +20,7 @@ type t = {
 let create ?(seed = 42) ?(latency = Latency.single_dc)
     ?(cost = Fl_crypto.Cost_model.default) ?(cores = 4)
     ?(bandwidth_bps = Nic.ten_gbps) ?(behavior = fun _ -> Instance.Honest)
-    ?valid ?trace ?obs ?(keep_log = false)
+    ?valid ?obs ?(keep_log = false)
     ?(on_deliver = fun ~node:_ _ -> ()) ?persist:persist_config ~config
     ~workers () =
   Config.validate config;
@@ -87,8 +87,14 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
             let hub =
               Hub.create engine ~inbox:(Net.inbox nets.(w) i)
                 ~decode:Msg.decode
-                ~on_malformed:(fun ~src:_ ~bytes:_ ->
-                  Fl_metrics.Recorder.incr recorder "decode_errors")
+                ~on_malformed:(fun ~src ~bytes ->
+                  Fl_metrics.Recorder.incr recorder "decode_errors";
+                  Fl_obs.Obs.instant obs ~cat:"net" ~name:"decode_error"
+                    ~node:i ~worker:w
+                    ~args:
+                      [ ("src", string_of_int src);
+                        ("bytes", string_of_int bytes) ]
+                    ~at:(Engine.now engine) ())
                 ~key:Msg.key ()
             in
             let env =
@@ -104,7 +110,6 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
                 f = config.Config.f;
                 seed = seed + (1_000_003 * w);
                 label = Printf.sprintf "w%d" w;
-                trace;
                 obs;
                 worker = w }
             in

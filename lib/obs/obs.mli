@@ -10,12 +10,13 @@
     Design rules, in force everywhere a sink is threaded:
 
     - {b Zero-cost off}: every emitter takes a [t option]; [None]
-      short-circuits before any formatting or allocation, exactly like
-      {!Fl_sim.Trace.emit}.
+      short-circuits before any formatting or allocation. Emitters
+      whose arguments cost real work to build guard on {!enabled}.
     - {b Observe-only}: emitting never schedules engine events, never
       draws from an RNG and never mutates protocol state, so a run
-      with a sink installed is byte-identical (same
-      {!Fl_sim.Trace.fingerprint}) to the same run without one.
+      with a sink installed is identical to the same run without one
+      (same run digest in [test/test_obs.ml]: engine event count and
+      clock, recorder series, definite watermarks and block hashes).
     - {b Bounded}: the sink is a ring buffer (oldest events evicted,
       eviction counted) so long runs cannot exhaust memory.
 

@@ -3,7 +3,7 @@
    One [kernel] per measured micro-benchmark — ns/run fitted by
    ordinary least squares over increasing batch sizes (so per-batch
    overhead lands in the intercept, not the estimate), allocated
-   words/run from the Gc counters over the whole measured set
+   words/run from the allocation counters over the whole measured set
    (allocation is linear in runs, a mean is exact) — grouped into one
    [file] per area and serialized as BENCH_<area>.json in a stable,
    versioned schema that {!Compare} gates regressions against. *)
@@ -36,6 +36,17 @@ let host_fingerprint () =
 
 (* ---------- measurement ---------- *)
 
+(* (minor, major) words allocated so far by this domain. The minor
+   count comes from [Gc.minor_words], which is exact at any instant;
+   on OCaml 5 the minor component of [Gc.counters] only catches up at
+   minor collections, so a window that straddles one is off by up to
+   a whole minor heap: the decode allocation pin read 67 or 3651
+   words/run depending on where the heap stood, against an exact
+   539. *)
+let alloc_words () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
+
 type quota = { q_ms : float; q_min_samples : int; q_max_batch : int }
 
 let smoke_quota = { q_ms = 60.0; q_min_samples = 3; q_max_batch = 256 }
@@ -67,7 +78,7 @@ let measure ?(quota = default_quota) ~name ~area f =
     Int64.add (Clock.now_ns ())
       (Int64.of_float (quota.q_ms *. 1e6))
   in
-  let minor0, _, major0 = Gc.counters () in
+  let minor0, major0 = alloc_words () in
   let samples = ref [] in
   let total_runs = ref 0 in
   let batch = ref 1 in
@@ -92,7 +103,7 @@ let measure ?(quota = default_quota) ~name ~area f =
       && List.length !samples >= quota.q_min_samples
     then continue := false
   done;
-  let minor1, _, major1 = Gc.counters () in
+  let minor1, major1 = alloc_words () in
   let runs = float_of_int !total_runs in
   { k_name = name;
     k_area = area;
@@ -102,14 +113,18 @@ let measure ?(quota = default_quota) ~name ~area f =
     k_runs = !total_runs }
 
 (* Allocation-only measurement: exact on a deterministic kernel, used
-   by the committed allocation pins. *)
+   by the committed allocation pins. The window starts on an empty
+   minor heap, so unless the runs themselves fill it no collection
+   lands inside and promotes whatever the caller left live — promoted
+   words count as major words. *)
 let alloc_per_run ?(runs = 1000) f =
   f ();
-  let minor0, _, major0 = Gc.counters () in
+  Gc.minor ();
+  let minor0, major0 = alloc_words () in
   for _ = 1 to runs do
     f ()
   done;
-  let minor1, _, major1 = Gc.counters () in
+  let minor1, major1 = alloc_words () in
   let r = float_of_int runs in
   ((minor1 -. minor0) /. r, (major1 -. major0) /. r)
 

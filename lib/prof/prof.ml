@@ -10,8 +10,8 @@
      guards on [!on] (one load + branch) before touching the clock.
    - Observe-only: enabling profiling reads the monotonic clock and
      bumps private accumulators; it never schedules events, draws
-     randomness or mutates protocol state, so traces are byte-identical
-     with profiling on or off (pinned-fingerprint tested).
+     randomness or mutates protocol state, so runs are identical with
+     profiling on or off (pinned run digest, test/test_prof.ml).
    - Self-time accounting: frames nest (engine dispatch encloses codec
      work encloses nothing…), and each subsystem is credited only with
      its *self* time — elapsed minus time spent in nested frames — so

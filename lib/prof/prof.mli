@@ -3,8 +3,8 @@
     Accumulating monotonic-clock timers behind the same discipline as
     {!Fl_sim.Engine.set_probe} / {!Fl_sim.Cpu.set_probe}: off by
     default, one load-and-branch when off, observe-only when on —
-    enabling profiling never perturbs the simulation, so traces stay
-    byte-identical (pinned-fingerprint tested).
+    enabling profiling never perturbs the simulation, so runs stay
+    identical (pinned run digest, [test/test_prof.ml]).
 
     Instrumented sites bracket a pure region with {!enter}/{!leave}
     guarded on {!on}:

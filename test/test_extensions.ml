@@ -100,54 +100,59 @@ let prop_block_roundtrip =
 
 (* ---------- trace ---------- *)
 
-let test_trace_capture_and_fingerprint () =
+let obs_named sink name =
+  List.filter
+    (fun (e : Fl_obs.Obs.event) -> String.equal e.Fl_obs.Obs.name name)
+    (Fl_obs.Obs.events sink)
+
+let test_trace_capture_and_replay () =
   let run () =
-    let trace = Trace.create () in
+    let sink = Fl_obs.Obs.create () in
     let config =
       { (Config.default ~n:4) with Config.batch_size = 10; tx_size = 32 }
     in
-    let c = Cluster.create ~seed:77 ~trace ~config () in
+    let c = Cluster.create ~seed:77 ~obs:sink ~config () in
     Cluster.start c;
     Cluster.run ~until:(Time.ms 300) c;
-    trace
+    sink
   in
-  let t1 = run () in
-  Alcotest.(check bool) "events captured" true (Trace.count t1 > 10);
+  let s1 = run () in
+  Alcotest.(check bool) "events captured" true (Fl_obs.Obs.count s1 > 10);
   Alcotest.(check bool) "tentative events present" true
-    (Trace.filter t1 ~category:"tentative" <> []);
+    (obs_named s1 "tentative" <> []);
   Alcotest.(check (list reject)) "no recoveries traced" []
-    (Trace.filter t1 ~category:"recovery");
-  (* Determinism: same seed, same fingerprint. *)
-  let t2 = run () in
-  Alcotest.(check string) "replay-identical traces" (Trace.fingerprint t1)
-    (Trace.fingerprint t2)
+    (obs_named s1 "recovery");
+  (* Determinism: same seed, byte-identical export. *)
+  let s2 = run () in
+  Alcotest.(check string) "replay-identical traces"
+    (Fl_obs.Export.jsonl (Fl_obs.Obs.events s1))
+    (Fl_obs.Export.jsonl (Fl_obs.Obs.events s2))
 
 let test_trace_byzantine_events () =
-  let trace = Trace.create () in
+  let sink = Fl_obs.Obs.create () in
   let config =
     { (Config.default ~n:4) with Config.batch_size = 10; tx_size = 32 }
   in
   let c =
-    Cluster.create ~seed:5 ~trace
+    Cluster.create ~seed:5 ~obs:sink
       ~behavior:(fun i -> if i = 2 then Instance.Equivocator else Instance.Honest)
       ~config ()
   in
   Cluster.start c;
   Cluster.run ~until:(Time.s 1) c;
-  Alcotest.(check bool) "proof events" true
-    (Trace.filter trace ~category:"proof" <> []);
+  Alcotest.(check bool) "proof events" true (obs_named sink "proof" <> []);
   Alcotest.(check bool) "recovery events" true
-    (Trace.filter trace ~category:"recovery" <> [])
+    (obs_named sink "recovery" <> [])
 
 let test_trace_bounded () =
-  let t = Trace.create ~capacity:10 () in
-  let e = Engine.create () in
+  let t = Fl_obs.Obs.create ~capacity:10 () in
   for i = 0 to 99 do
-    Trace.emit (Some t) e ~category:"x" (string_of_int i)
+    Fl_obs.Obs.instant (Some t) ~cat:"x" ~name:(string_of_int i) ~at:i ()
   done;
-  Alcotest.(check int) "total counted" 100 (Trace.count t);
-  Alcotest.(check int) "dropped oldest" 90 (Trace.dropped t);
-  Alcotest.(check int) "buffer bounded" 10 (List.length (Trace.events t))
+  Alcotest.(check int) "total counted" 100 (Fl_obs.Obs.count t);
+  Alcotest.(check int) "dropped oldest" 90 (Fl_obs.Obs.dropped t);
+  Alcotest.(check int) "buffer bounded" 10
+    (List.length (Fl_obs.Obs.events t))
 
 (* ---------- gossip dissemination ---------- *)
 
@@ -234,7 +239,7 @@ let suite =
       test_chain_rejects_corruption;
     Alcotest.test_case "serial save/load" `Quick test_save_load_file;
     QCheck_alcotest.to_alcotest prop_block_roundtrip;
-    Alcotest.test_case "trace capture" `Quick test_trace_capture_and_fingerprint;
+    Alcotest.test_case "trace capture" `Quick test_trace_capture_and_replay;
     Alcotest.test_case "trace byzantine" `Quick test_trace_byzantine_events;
     Alcotest.test_case "trace bounded" `Quick test_trace_bounded;
     Alcotest.test_case "gossip progress" `Quick

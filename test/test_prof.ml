@@ -201,22 +201,17 @@ let test_prof_accounting_exact () =
 
 (* ---------- profiling-on runs are byte-identical ---------- *)
 
-(* Same pinned baselines as test_obs.ml: seed 77, n=4, 300 simulated
-   ms. Enabling the self-profiler must reproduce them exactly — the
+(* Same pinned run digest as test_obs.ml: seed 77, n=4, 300 simulated
+   ms. Enabling the self-profiler must reproduce it exactly — the
    profiler observes host time only and never touches the simulation. *)
 let test_fingerprint_unchanged_with_prof () =
-  let trace = Fl_sim.Trace.create () in
   Prof.enable ();
   let c =
-    Fl_flo.Cluster.create ~seed:77 ~trace ~config:(quick_config 4) ~workers:2
-      ()
+    Fl_flo.Cluster.create ~seed:77 ~config:(quick_config 4) ~workers:2 ()
   in
   Fl_flo.Cluster.start c;
   Fl_flo.Cluster.run ~until:(Fl_sim.Time.ms 300) c;
   Prof.disable ();
-  Alcotest.(check int) "flo count" 1176 (Fl_sim.Trace.count trace);
-  Alcotest.(check string) "flo fp" "ae6e67b39c6410c4"
-    (Fl_sim.Trace.fingerprint trace);
   Test_obs.check_digest "flo" (Test_obs.flo_digest c);
   (* And the profile itself saw the run: engine dispatch plus at least
      one nested subsystem accumulated time. *)
@@ -263,10 +258,10 @@ let test_measure_smoke () =
 (* Committed allocation pin: decoding a 100-tx body frame. The decode
    path allocates the tx array and per-tx records in the minor heap —
    a regression that starts copying payloads (or boxing readers) shows
-   up here long before it shows up as time. Measured ~516 minor w/run
+   up here long before it shows up as time. Measured ~540 minor w/run
    on the zero-copy reader (the tx array and per-tx records; the frame
    body itself is read in place), ~1 major w/run; the minor bound
-   leaves ~15% headroom so any reintroduced per-frame copy (~1750
+   leaves ~10% headroom so any reintroduced per-frame copy (~1750
    words for this 14 KB frame) trips it immediately. *)
 let decode_minor_words_bound = 600.0
 let decode_major_words_bound = 64.0
