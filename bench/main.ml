@@ -151,12 +151,14 @@ let load_pool =
 
 let load_seq = ref 1024
 
-(* Reconfig tier: a multi-chunk snapshot of a 64-round chain, chunked
-   the way the state-transfer donor does (8 KiB String.sub + Snap_chunk
-   framing per chunk), and the epoch-switch computation (decode the
-   reconfiguration payload off the decided block, fold the change,
-   build the successor epoch). *)
-let reconfig_snap_enc =
+(* Reconfig and persist tiers: a 64-round chain (10 x 128 B txs per
+   block). [persist/seal-segment-64] seals it as one snapshot segment
+   — the work one periodic snapshot does; the state-transfer kernel
+   chunks that segment the way the donor does (8 KiB slice of a
+   sealed frame + Snap_chunk framing per chunk). The epoch-switch
+   kernel decodes the reconfiguration payload off the decided block,
+   folds the change and builds the successor epoch. *)
+let reconfig_store =
   let store = Fl_chain.Store.create () in
   let prev = ref Fl_chain.Block.genesis_hash in
   for r = 0 to 63 do
@@ -169,11 +171,11 @@ let reconfig_snap_enc =
     | Ok () -> ()
     | Error _ -> failwith "bench: reconfig chain build"
   done;
-  match
-    Fl_persist.Snapshot.build ~store ~upto:63 ~era:1 ~app:"" ~app_hash:""
-  with
-  | Some s -> Fl_persist.Snapshot.encode s
-  | None -> failwith "bench: reconfig snapshot build"
+  store
+
+let seal_segment_64 () = Fl_persist.Snapshot.seal reconfig_store ~first:0 ~last:63
+
+let reconfig_snap_enc = (seal_segment_64 ()).Fl_persist.Snapshot.frame
 
 let reconfig_chunk_bytes = 8192
 let reconfig_chunk_seq = ref 0
@@ -189,7 +191,14 @@ let reconfig_genesis =
    in fixed order within each area, so text and JSON output are
    deterministic (no Hashtbl iteration order). *)
 let areas =
-  [ "crypto"; "codec"; "substrate"; "sweep"; "kernels"; "load"; "reconfig" ]
+  [ "crypto";
+    "codec";
+    "substrate";
+    "sweep";
+    "kernels";
+    "load";
+    "reconfig";
+    "persist" ]
 
 let kernels : (string * string * (unit -> unit)) list =
   [ (* Figure 5 calibration: the real crypto kernels. *)
@@ -320,7 +329,11 @@ let kernels : (string * string * (unit -> unit)) list =
             ~activation:14
         with
         | Some _ -> ()
-        | None -> failwith "bench: epoch-switch produced no successor" ) ]
+        | None -> failwith "bench: epoch-switch produced no successor" );
+    (* Persist tier: sealing one 64-round definite segment, the cost
+       every periodic snapshot pays once per round range. *)
+    ("persist", "persist/seal-segment-64", fun () -> ignore (seal_segment_64 ()))
+  ]
 
 (* ---------- measurement and reporting ---------- *)
 

@@ -85,6 +85,25 @@ let decode_block r =
   | exception Codec.Reader.Underflow -> Error "truncated block"
   | exception Codec.Malformed e -> Error e
 
+(* Decode rounds [first..last] onto [store]'s tip. Each body is hashed
+   once: a present body must match its header's commitment, and a
+   missing one is accepted only below [pruned_below]; the append checks
+   every hash link. *)
+let read_blocks_into r store ~first ~last ~pruned_below =
+  for round = first to last do
+    let b = read_block r in
+    let h = b.Block.header in
+    let present = Array.length b.Block.txs > 0 || h.Header.tx_count = 0 in
+    match
+      Store.append ~check_body:(present || round >= pruned_below) store b
+    with
+    | Ok () -> ()
+    | Error e ->
+        raise
+          (Codec.Malformed
+             (Format.asprintf "block %d: %a" round Store.pp_error e))
+  done
+
 let block_to_string b =
   let w =
     Codec.Writer.create
@@ -122,25 +141,12 @@ let decode_chain s =
       let len = Codec.Reader.varint r in
       let pruned_below = Codec.Reader.varint r in
       let store = Store.create () in
-      let rec go i =
-        if i >= len then
-          if Codec.Reader.at_end r then Ok store else Error "trailing bytes"
-        else
-          match decode_block r with
-          | Error e -> Error (Printf.sprintf "block %d: %s" i e)
-          | Ok b -> (
-              (* Pruned bodies cannot be re-checked; links always are. *)
-              let check_body = i >= pruned_below in
-              match Store.append ~check_body store b with
-              | Ok () -> go (i + 1)
-              | Error e ->
-                  Error (Format.asprintf "block %d: %a" i Store.pp_error e))
-      in
-      match go 0 with
-      | Ok store ->
-          Store.prune store ~keep_from:pruned_below;
-          Ok store
-      | Error e -> Error e
+      read_blocks_into r store ~first:0 ~last:(len - 1) ~pruned_below;
+      if Codec.Reader.at_end r then begin
+        Store.prune store ~keep_from:pruned_below;
+        Ok store
+      end
+      else Error "trailing bytes"
     end
   with
   | result -> result

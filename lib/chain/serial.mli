@@ -34,6 +34,16 @@ val decode_block : Fl_wire.Codec.Reader.t -> (Block.t, string) result
 (** Structural decode plus commitment re-check: the decoded body must
     match the header's [body_hash]. *)
 
+val read_blocks_into :
+  Fl_wire.Codec.Reader.t -> Store.t -> first:int -> last:int ->
+  pruned_below:int -> unit
+(** Decode rounds [first..last] and append them to the store, checking
+    every hash link and every present body against its commitment; a
+    missing body is accepted only below [pruned_below]. Raises
+    {!Fl_wire.Codec.Malformed} / {!Fl_wire.Codec.Reader.Underflow} at
+    the first bad block — the store then holds a prefix, so callers
+    decode into a fresh store and drop it on failure. *)
+
 val block_to_string : Block.t -> string
 val block_of_string : string -> (Block.t, string) result
 

@@ -96,8 +96,9 @@ type t = {
   mutable wedged : bool;
       (* watchdog verdict: parked in a round whose consensus the
          cluster already completed — pull the block instead *)
-  mutable snap_cache : (int * string) option;
-      (* (definite_upto + 1, encoded snapshot) served to joiners *)
+  segments : Fl_persist.Snapshot.log;
+      (* sealed definite segments served to joiners — used only when
+         no persistence node holds them *)
   (* durability *)
   persist : Fl_persist.Node.t option;
   mutable boot_delay : Time.t;
@@ -744,20 +745,32 @@ let wrb_deliver t ~k =
 
 let snap_chunk_bytes = 8192
 
-(* Donor side: serve the definite prefix as a chunked, CRC-framed
-   {!Fl_persist.Snapshot} (the exact on-disk encoding, shipped over
-   the wire-true transport). The stream id is [definite_upto + 1] at
-   build time, so a joiner that resumes mid-transfer can tell whether
-   a later donor is continuing the same snapshot or starting a newer
-   one. The encoded snapshot is cached per stream id — retries and
-   multiple joiners rebuild nothing. *)
+(* Donor side: serve the definite prefix as a segment-addressed
+   {!Fl_persist.Snapshot} — the manifest and its segments, the on-disk
+   format, chunked over the wire-true transport with no chunk
+   straddling two frames. The segments are the persistence node's when
+   one is attached, else this instance's own append-only list; either
+   way a request seals only the rounds that became definite since the
+   last one. Definite segments never change, so nothing is cached or
+   invalidated. The stream id is [upto + 1], so a joiner that resumes
+   mid-transfer can tell whether a later donor is continuing the same
+   snapshot or starting a newer one. *)
 let spawn_snap_server t =
   Fiber.spawn (engine t) (fun () ->
       let box = Hub.box t.env.Env.hub "snapreq" in
       while true do
         match Mailbox.recv box with
-        | src, Msg.Snap_req { from_chunk } -> (
-            if t.definite_upto < 0 then
+        | src, Msg.Snap_req { from_chunk } ->
+            let upto = t.definite_upto in
+            let log =
+              match t.persist with
+              | Some per -> Fl_persist.Node.log per
+              | None -> t.segments
+            in
+            if upto >= 0 then
+              charge_hash t
+                ~bytes:(Fl_persist.Snapshot.extend log t.store ~upto);
+            if upto < 0 || Fl_persist.Snapshot.sealed_upto log <> upto then
               (* nothing durable yet: an explicit empty reply beats
                  silence — the joiner backs off instead of timing out *)
               send t ~dst:src
@@ -766,39 +779,33 @@ let spawn_snap_server t =
                      seq = 0;
                      total = 0;
                      data = Fl_wire.Codec.Slice.of_string "" })
-            else
-              let sid = t.definite_upto + 1 in
-              let encoded =
-                match t.snap_cache with
-                | Some (s, enc) when s = sid -> Some enc
-                | _ -> (
-                    match
-                      Fl_persist.Snapshot.build ~store:t.store
-                        ~upto:t.definite_upto ~era:t.era ~app:"" ~app_hash:""
-                    with
-                    | None -> None
-                    | Some snap ->
-                        let enc = Fl_persist.Snapshot.encode snap in
-                        charge_hash t ~bytes:(String.length enc);
-                        t.snap_cache <- Some (sid, enc);
-                        Some enc)
+            else begin
+              (* borrowed views of the sealed frames: the chunk bytes
+                 are blitted once, straight into the wire frame *)
+              let chunks =
+                List.concat_map
+                  (fun p ->
+                    let len = String.length p in
+                    List.init
+                      ((len + snap_chunk_bytes - 1) / snap_chunk_bytes)
+                      (fun i ->
+                        let off = i * snap_chunk_bytes in
+                        Fl_wire.Codec.Slice.of_sub p ~pos:off
+                          ~len:(min snap_chunk_bytes (len - off))))
+                  (Fl_persist.Snapshot.parts
+                     (Fl_persist.Snapshot.make ~upto ~era:t.era ~app:""
+                        ~app_hash:"" ~pruned_below:(Store.pruned_below t.store)
+                        log))
               in
-              match encoded with
-              | None -> ()
-              | Some enc ->
-                  let len = String.length enc in
-                  let total = (len + snap_chunk_bytes - 1) / snap_chunk_bytes in
-                  incr_c t "snap_requests_served";
-                  for seq = max 0 from_chunk to total - 1 do
-                    let off = seq * snap_chunk_bytes in
-                    (* borrowed view of the cached encoding: the chunk
-                       bytes are blitted once, straight into the frame *)
-                    let data =
-                      Fl_wire.Codec.Slice.of_sub enc ~pos:off
-                        ~len:(min snap_chunk_bytes (len - off))
-                    in
-                    send t ~dst:src (Msg.Snap_chunk { sid; seq; total; data })
-                  done)
+              let total = List.length chunks in
+              incr_c t "snap_requests_served";
+              List.iteri
+                (fun seq data ->
+                  if seq >= from_chunk then
+                    send t ~dst:src
+                      (Msg.Snap_chunk { sid = upto + 1; seq; total; data }))
+                chunks
+            end
         | _ -> ()
       done)
 
@@ -1615,9 +1622,9 @@ let adopt_chain t src ~definite ~era ~pay =
    layer is attached, the adopted prefix is fed through it (application
    replay + a durable snapshot) so a later cold restart recovers
    locally. *)
-let adopt_snapshot t (snap : Fl_persist.Snapshot.t) chain =
-  adopt_chain t chain ~definite:snap.Fl_persist.Snapshot.upto
-    ~era:snap.Fl_persist.Snapshot.era ~pay:(fun bytes -> charge_hash t ~bytes);
+let adopt_snapshot t (m : Fl_persist.Snapshot.manifest) chain =
+  adopt_chain t chain ~definite:m.Fl_persist.Snapshot.m_upto
+    ~era:m.Fl_persist.Snapshot.m_era ~pay:(fun bytes -> charge_hash t ~bytes);
   (match t.persist with
   | Some per ->
       for r = 0 to t.definite_upto do
@@ -1638,9 +1645,9 @@ let adopt_snapshot t (snap : Fl_persist.Snapshot.t) chain =
    retry. Chunks are accumulated per stream id — a donor crash
    mid-transfer resumes from the last verified (contiguously held)
    chunk against the next donor; a stream id mismatch (the chain moved
-   on) restarts cleanly. The assembled snapshot is CRC-checked by
-   {!Fl_persist.Snapshot.decode} (fail closed: any corruption discards
-   everything — never a half-applied prefix). *)
+   on) restarts cleanly. The assembled snapshot is checked frame by
+   frame by {!Fl_persist.Snapshot.restore} (fail closed: any corruption
+   discards everything — never a half-applied prefix). *)
 let state_transfer t =
   incr_c t "state_transfers";
   let start = now t in
@@ -1703,12 +1710,9 @@ let state_transfer t =
             sid := -1;
             total := -1
           in
-          match Fl_persist.Snapshot.decode encoded with
+          match Fl_persist.Snapshot.restore [ encoded ] with
           | Error e -> fail e
-          | Ok snap -> (
-              match Fl_persist.Snapshot.restore_chain snap with
-              | Error e -> fail e
-              | Ok chain -> result := Some (snap, chain))
+          | Ok restored -> result := Some restored
         end
         else begin
           incr retries;
@@ -1718,16 +1722,16 @@ let state_transfer t =
   done;
   match !result with
   | None -> ()
-  | Some (snap, chain) ->
+  | Some (m, chain) ->
       let nchunks = !total in
-      adopt_snapshot t snap chain;
+      adopt_snapshot t m chain;
       obs_span t ~name:"state_transfer" ~round:t.round
         ~args:
-          [ ("upto", string_of_int snap.Fl_persist.Snapshot.upto);
+          [ ("upto", string_of_int m.Fl_persist.Snapshot.m_upto);
             ("chunks", string_of_int nchunks);
             ("retries", string_of_int !retries) ]
         ~t_begin:start ~t_end:(now t) ();
-      t.output.on_transfer ~upto:snap.Fl_persist.Snapshot.upto ~chunks:nchunks
+      t.output.on_transfer ~upto:m.Fl_persist.Snapshot.m_upto ~chunks:nchunks
         ~retries:!retries
 
 (* One scheduling step of a node outside the active membership.
@@ -1956,7 +1960,7 @@ let create env ~config ?(behavior = Honest) ?(valid = fun _ -> true) ?persist
       handoff_done = false;
       reconfig_fibers = false;
       wedged = false;
-      snap_cache = None;
+      segments = { Fl_persist.Snapshot.sealed = [] };
       persist;
       boot_delay = 0 }
   in

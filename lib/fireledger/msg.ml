@@ -28,12 +28,13 @@ type t =
       (** joiner asks a donor for state transfer, resuming at the
           first chunk it does not yet hold *)
   | Snap_chunk of { sid : int; seq : int; total : int; data : Codec.Slice.t }
-      (** one chunk of an encoded {!Fl_persist.Snapshot}; [sid] is
-          [definite_upto + 1] at build time (so 0 = "nothing durable
-          yet", signalled with [total = 0]) — a joiner resumes only
-          chunks of a matching [sid]. [data] is a borrowed view: on
-          send, of the donor's cached snapshot encoding; on receive,
-          of the delivered frame — the joiner copies what it keeps *)
+      (** one chunk of a {!Fl_persist.Snapshot} stream (manifest and
+          segments back to back); [sid] is the snapshot's [upto + 1]
+          (so 0 = "nothing durable yet", signalled with [total = 0]) —
+          a joiner resumes only chunks of a matching [sid]. [data] is
+          a borrowed view: on send, of one of the donor's sealed
+          frames; on receive, of the delivered frame — the joiner
+          copies what it keeps *)
   | Tx_handoff of { txs : Tx.t array; fees : int array }
       (** a leaving node hands its pending mempool txs to a surviving
           member so admitted transactions are conserved *)

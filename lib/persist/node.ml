@@ -55,7 +55,11 @@ type t = {
   app : Recovery.app option;
   mutable chain : (unit -> Store.t * int * int) option;
       (* store, definite_upto, era — set by the attached instance *)
-  mutable snapshot_media : string option;
+  log : Snapshot.log;
+      (* every definite segment sealed since the last recover — each
+         round once; the ones past [last_snapshot_upto] are not yet on
+         the disk *)
+  mutable snapshot_media : Snapshot.t option;  (* the durable snapshot *)
   mutable wal_media : string;  (* frozen image between power_fail and recover *)
   mutable live : bool;
   mutable gen : int;  (* incarnation guard for in-flight async work *)
@@ -82,6 +86,7 @@ let create engine ?obs ?(node = -1) ?(worker = 0) ?disk ?app ~config () =
     wal = Wal.create ~segment_bytes:config.segment_bytes;
     app;
     chain = None;
+    log = { Snapshot.sealed = [] };
     snapshot_media = None;
     wal_media = "";
     live = true;
@@ -133,39 +138,55 @@ let maybe_start_flusher t =
 
 (* ---------- snapshots ---------- *)
 
+let log t = t.log
+let snapshot t = t.snapshot_media
+
 let take_snapshot t ~store ~upto ~era =
-  let app, app_hash =
-    match t.app with
-    | Some a -> (a.Recovery.app_snapshot (), a.Recovery.app_hash ())
-    | None -> ("", "")
-  in
-  match Snapshot.build ~store ~upto ~era ~app ~app_hash with
-  | None -> ()
-  | Some snap ->
-      t.last_snapshot_upto <- upto;
-      let encoded = Snapshot.encode snap in
-      let gen = t.gen in
-      (* The encode is a point-in-time copy; writing it out and
-         truncating the WAL happens off the hot path. *)
-      Fiber.spawn t.engine (fun () ->
-          let t_begin = Engine.now t.engine in
+  ignore (Snapshot.extend t.log store ~upto);
+  if Snapshot.sealed_upto t.log = upto then begin
+    let app, app_hash =
+      match t.app with
+      | Some a -> (a.Recovery.app_snapshot (), a.Recovery.app_hash ())
+      | None -> ("", "")
+    in
+    let snap =
+      Snapshot.make ~upto ~era ~app ~app_hash
+        ~pruned_below:(Store.pruned_below store) t.log
+    in
+    (* Only the manifest and the segments not yet on the disk (normally
+       just the one sealed above) are written. *)
+    let bytes =
+      List.fold_left
+        (fun acc s ->
+          if s.Snapshot.last > t.last_snapshot_upto then
+            acc + String.length s.Snapshot.frame
+          else acc)
+        (String.length snap.Snapshot.manifest) snap.Snapshot.segments
+    in
+    t.last_snapshot_upto <- upto;
+    let gen = t.gen in
+    (* Sealing is a point-in-time copy; writing it out and truncating
+       the WAL happens off the hot path. *)
+    Fiber.spawn t.engine (fun () ->
+        let t_begin = Engine.now t.engine in
+        if t.live && t.gen = gen then begin
+          ignore (Disk.write t.disk ~bytes);
+          let frames = Wal.total_frames t.wal in
+          Disk.fsync ~name:"snapshot_fsync" t.disk;
           if t.live && t.gen = gen then begin
-            ignore (Disk.write t.disk ~bytes:(String.length encoded));
-            let frames = Wal.total_frames t.wal in
-            Disk.fsync ~name:"snapshot_fsync" t.disk;
-            if t.live && t.gen = gen then begin
-              t.snapshot_media <- Some encoded;
-              Wal.mark_durable_upto t.wal frames;
-              ignore (Wal.truncate t.wal ~upto);
-              t.snapshots <- t.snapshots + 1;
-              Fl_obs.Obs.span t.obs ~cat:"disk" ~name:"snapshot" ~node:t.node
-                ~worker:t.worker ~round:upto
-                ~args:
-                  [ ("bytes", string_of_int (String.length encoded));
-                    ("upto", string_of_int upto) ]
-                ~t_begin ~t_end:(Engine.now t.engine) ()
-            end
-          end)
+            t.snapshot_media <- Some snap;
+            Wal.mark_durable_upto t.wal frames;
+            ignore (Wal.truncate t.wal ~upto);
+            t.snapshots <- t.snapshots + 1;
+            Fl_obs.Obs.span t.obs ~cat:"disk" ~name:"snapshot" ~node:t.node
+              ~worker:t.worker ~round:upto
+              ~args:
+                [ ("bytes", string_of_int bytes);
+                  ("upto", string_of_int upto) ]
+              ~t_begin ~t_end:(Engine.now t.engine) ()
+          end
+        end)
+  end
 
 let maybe_snapshot t ~upto ~era =
   if
@@ -229,6 +250,7 @@ let power_fail t ~torn =
 let lose_media t =
   Disk.lose t.disk;
   t.snapshot_media <- None;
+  t.log.Snapshot.sealed <- [];
   t.wal_media <- "";
   if t.live then begin
     t.live <- false;
@@ -243,7 +265,7 @@ let lose_media t =
    instance charges as its boot delay. *)
 let media_bytes t =
   String.length t.wal_media
-  + match t.snapshot_media with Some s -> String.length s | None -> 0
+  + match t.snapshot_media with Some s -> Snapshot.bytes s | None -> 0
 
 (* Parse the frozen media back into node state and go live again.
    [None] = nothing durable (first boot, or the media was lost):
@@ -258,8 +280,7 @@ let recover t =
     t.recovers <- t.recovers + 1;
     t.wal_media <- "";
     let r =
-      Recovery.run ~snapshot_media:t.snapshot_media ~wal_media:media
-        ~app:t.app
+      Recovery.run ~snapshot:t.snapshot_media ~wal_media:media ~app:t.app
     in
     if r.Recovery.r_torn then t.torn_discards <- t.torn_discards + 1;
     t.replayed <- t.replayed + r.Recovery.r_records;
@@ -270,11 +291,13 @@ let recover t =
          (fun record ->
            (Wal.frame (Wal.encode_record record), Wal.round_of record))
          (Wal.replay_media media).Wal.records);
-    t.last_snapshot_upto <-
+    (* segments sealed but never made durable died with the power;
+       a snapshot that failed to restore seals afresh from round 0 *)
+    t.log.Snapshot.sealed <-
       (match t.snapshot_media with
-      | Some s -> (
-          match Snapshot.decode s with Ok snap -> snap.Snapshot.upto | Error _ -> -1)
-      | None -> -1);
+      | Some s when r.Recovery.r_from_snapshot -> s.Snapshot.segments
+      | _ -> []);
+    t.last_snapshot_upto <- Snapshot.sealed_upto t.log;
     if Store.length r.Recovery.r_store = 0 && not r.Recovery.r_from_snapshot
     then begin
       Fl_obs.Obs.instant t.obs ~cat:"disk" ~name:"cold_start" ~node:t.node

@@ -64,33 +64,23 @@ let apply_record ~store ~sigs ~applied ~app record =
       applied := max !applied upto;
       true
 
-let run ~snapshot_media ~wal_media ~app =
+let run ~snapshot ~wal_media ~app =
   let replay = Wal.replay_media wal_media in
-  (* 1. snapshot base *)
+  (* 1. snapshot base: every segment re-checked, all or nothing *)
   let base =
-    match snapshot_media with
+    match snapshot with
     | None -> None
-    | Some s -> (
-        match Snapshot.decode s with
-        | Error _ -> None
-        | Ok snap -> (
-            match Snapshot.restore_chain snap with
-            | Error _ -> None
-            | Ok store -> Some (snap, store)))
+    | Some s -> Result.to_option (Snapshot.restore (Snapshot.parts s))
   in
   let store, definite0, era0, restored_app =
     match base with
-    | Some (snap, store) ->
-        let app_ok =
-          match app with
-          | None -> true
-          | Some a -> if a.app_restore snap.Snapshot.app then true else false
-        in
-        if app_ok then (store, snap.Snapshot.upto, snap.Snapshot.era, true)
+    | Some (m, store) ->
+        if match app with None -> true | Some a -> a.app_restore m.Snapshot.m_app
+        then (store, m.Snapshot.m_upto, m.Snapshot.m_era, true)
         else begin
           (* unusable app payload: fall back to a full replay *)
           (match app with Some a -> a.app_reset () | None -> ());
-          (store, snap.Snapshot.upto, snap.Snapshot.era, false)
+          (store, m.Snapshot.m_upto, m.Snapshot.m_era, false)
         end
     | None ->
         (match app with Some a -> a.app_reset () | None -> ());

@@ -219,6 +219,12 @@ let explore_pinned ~mode ~events ~fingerprint () =
         Explorer.explore ~with_disk_faults:true
           ~persist:Fl_persist.Node.default_config ~seeds:6 ~base_seed:1
           ~budget_ms:800 ()
+    | `Disk_no_snapshot ->
+        Explorer.explore ~with_disk_faults:true
+          ~persist:
+            { Fl_persist.Node.default_config with
+              Fl_persist.Node.snapshot_interval = 0 }
+          ~seeds:6 ~base_seed:1 ~budget_ms:800 ()
     | `Reconfig ->
         Explorer.explore ~with_reconfig_faults:true ~seeds:6 ~base_seed:1
           ~budget_ms:800 ()
@@ -250,8 +256,14 @@ let suite =
          ~fingerprint:"99864247b30eec00");
     Alcotest.test_case "pinned: disk restart/catch-up replay identically"
       `Slow
-      (explore_pinned ~mode:`Disk ~events:353747
-         ~fingerprint:"3ba19166a399eb70");
+      (explore_pinned ~mode:`Disk ~events:353752
+         ~fingerprint:"da8781004cdbb25b");
+    (* snapshots off: WAL replay and catch-up alone, whatever the
+       snapshot format *)
+    Alcotest.test_case "pinned: disk restart, no snapshots, replay identically"
+      `Slow
+      (explore_pinned ~mode:`Disk_no_snapshot ~events:353600
+         ~fingerprint:"74fcf133dd7b86b0");
     Alcotest.test_case "pinned: state transfers replay identically" `Slow
-      (explore_pinned ~mode:`Reconfig ~events:443736
-         ~fingerprint:"56a927b02d54d5f3") ]
+      (explore_pinned ~mode:`Reconfig ~events:431317
+         ~fingerprint:"3290ebb766ffb95b") ]

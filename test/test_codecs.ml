@@ -432,7 +432,7 @@ let decoders : (string * (string -> bool)) list =
     ("chain", fun s -> Result.is_error (Serial.decode_chain s));
     ("signed-header", fun s -> Types.decode_signed_header s = None);
     ("wal-record", fun s -> Result.is_error (Fl_persist.Wal.decode_record s));
-    ("snapshot", fun s -> Result.is_error (Fl_persist.Snapshot.decode s)) ]
+    ("snapshot", fun s -> Result.is_error (Fl_persist.Snapshot.restore [ s ])) ]
 
 let prop_random_bytes_rejected =
   QCheck.Test.make ~name:"codecs: random bytes never decode, never raise"
@@ -517,31 +517,37 @@ let small_store () =
 
 let test_snapshot_roundtrip () =
   let store = small_store () in
-  match
-    Fl_persist.Snapshot.build ~store ~upto:3 ~era:1 ~app:"app-bytes"
+  let module S = Fl_persist.Snapshot in
+  (* two segments: rounds 0..1 and 2..3 *)
+  let image store =
+    let log = { S.sealed = [] } in
+    ignore (S.extend log store ~upto:1);
+    ignore (S.extend log store ~upto:3);
+    S.make ~upto:3 ~era:1 ~app:"app-bytes"
       ~app_hash:(Fl_crypto.Sha256.digest "state")
-  with
-  | None -> Alcotest.fail "snapshot build failed"
-  | Some snap -> (
-      let enc = Fl_persist.Snapshot.encode snap in
-      match Fl_persist.Snapshot.decode enc with
-      | Error e -> Alcotest.failf "decode: %s" e
-      | Ok snap' -> (
-          Alcotest.(check bool) "snapshot round-trips" true (snap = snap');
-          match Fl_persist.Snapshot.restore_chain snap' with
-          | Error e -> Alcotest.failf "restore: %s" e
-          | Ok prefix ->
-              Alcotest.(check int) "prefix length" 4 (Store.length prefix);
-              Alcotest.(check bool) "prefix integrity" true
-                (Store.check_integrity prefix);
-              (* Byte corruption anywhere in the image is caught. *)
-              for off = 0 to String.length enc - 1 do
-                match Fl_persist.Snapshot.decode (flip enc off) with
-                | Error _ -> ()
-                | Ok _ when off < 6 -> ()
-                | Ok _ ->
-                    Alcotest.failf "snapshot flip at %d survived the CRC" off
-              done))
+      ~pruned_below:(Store.pruned_below store) log
+  in
+  let enc = String.concat "" (S.parts (image store)) in
+  match S.restore [ enc ] with
+  | Error e -> Alcotest.failf "restore: %s" e
+  | Ok (m, prefix) ->
+      Alcotest.(check int) "upto" 3 m.S.m_upto;
+      Alcotest.(check int) "era" 1 m.S.m_era;
+      Alcotest.(check string) "app" "app-bytes" m.S.m_app;
+      Alcotest.(check int) "prefix length" 4 (Store.length prefix);
+      Alcotest.(check bool) "prefix integrity" true
+        (Store.check_integrity prefix);
+      (* re-sealing the restored prefix reproduces the image exactly *)
+      Alcotest.(check string) "snapshot round-trips" enc
+        (String.concat "" (S.parts (image prefix)));
+      (* Byte corruption anywhere in the image is caught: the length
+         prefixes, frame headers and manifest-first order leave no
+         byte whose flip survives. *)
+      for off = 0 to String.length enc - 1 do
+        match S.restore [ flip enc off ] with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "snapshot flip at %d survived" off
+      done
 
 (* ---------- cross-layer: NIC bytes = encoding length ---------- *)
 

@@ -137,26 +137,36 @@ let test_wal_torn_on_segment_boundary () =
 
 (* ---- Snapshot ---- *)
 
+(* A snapshot image of rounds 0..upto of [store], sealed [per] rounds
+   to a segment — several segments even for short test chains. *)
+let image ?(per = 2) ?(era = 1) ?(app = "") ?(app_hash = "") store ~upto =
+  let log = { Snapshot.sealed = [] } in
+  for at = 0 to upto / per do
+    ignore (Snapshot.extend log store ~upto:(min upto ((at * per) + per - 1)))
+  done;
+  Snapshot.make ~upto ~era ~app ~app_hash
+    ~pruned_below:(Store.pruned_below store) log
+
+(* The transfer stream: the image's frames back to back. *)
+let encode snap = String.concat "" (Snapshot.parts snap)
+
 let test_snapshot_roundtrip () =
   let store = Test_chain.chain_of_blocks [ 0; 1; 2; 3; 0; 1 ] in
   Store.prune store ~keep_from:2;
   let snap =
-    match
-      Snapshot.build ~store ~upto:4 ~era:2 ~app:"app-payload" ~app_hash:"abcd"
-    with
-    | Some s -> s
-    | None -> Alcotest.fail "build failed"
+    image store ~upto:4 ~era:2 ~app:"app-payload" ~app_hash:"abcd"
   in
-  (match Snapshot.decode (Snapshot.encode snap) with
-  | Error e -> Alcotest.failf "decode: %s" e
-  | Ok s ->
-      Alcotest.(check int) "upto" 4 s.Snapshot.upto;
-      Alcotest.(check int) "era" 2 s.Snapshot.era;
-      Alcotest.(check string) "app" "app-payload" s.Snapshot.app;
-      Alcotest.(check string) "app hash" "abcd" s.Snapshot.app_hash;
-      match Snapshot.restore_chain s with
+  Alcotest.(check int) "three segments" 3 (List.length snap.Snapshot.segments);
+  (* the disk's frame list and the transfer's single stream restore alike *)
+  List.iter
+    (fun parts ->
+      match Snapshot.restore parts with
       | Error e -> Alcotest.failf "restore: %s" e
-      | Ok prefix ->
+      | Ok (m, prefix) ->
+          Alcotest.(check int) "upto" 4 m.Snapshot.m_upto;
+          Alcotest.(check int) "era" 2 m.Snapshot.m_era;
+          Alcotest.(check string) "app" "app-payload" m.Snapshot.m_app;
+          Alcotest.(check string) "app hash" "abcd" m.Snapshot.m_app_hash;
           Alcotest.(check int) "prefix length" 5 (Store.length prefix);
           Alcotest.(check int) "prune boundary carried" 2
             (Store.pruned_below prefix);
@@ -165,16 +175,17 @@ let test_snapshot_roundtrip () =
           let tip_src =
             match Store.get store 4 with Some b -> Block.hash b | None -> ""
           in
-          Alcotest.(check string) "tip hash" tip_src (Store.last_hash prefix));
+          Alcotest.(check string) "tip hash" tip_src (Store.last_hash prefix))
+    [ Snapshot.parts snap; [ encode snap ] ];
   (* Corruption anywhere must be rejected. *)
-  let enc = Snapshot.encode snap in
+  let enc = encode snap in
   let b = Bytes.of_string enc in
   Bytes.set b (Bytes.length b - 3)
     (Char.chr (Char.code (Bytes.get b (Bytes.length b - 3)) lxor 0x10));
-  (match Snapshot.decode (Bytes.to_string b) with
+  (match Snapshot.restore [ Bytes.to_string b ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt snapshot must not decode");
-  match Snapshot.decode (String.sub enc 0 (String.length enc - 5)) with
+  match Snapshot.restore [ String.sub enc 0 (String.length enc - 5) ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated snapshot must not decode"
 
@@ -183,24 +194,20 @@ let test_snapshot_roundtrip () =
    error — checked for every possible cut, not just lucky ones. *)
 let test_snapshot_truncated_chunk_fails_closed () =
   let store = Test_chain.chain_of_blocks [ 0; 1; 2; 3 ] in
-  let snap =
-    match Snapshot.build ~store ~upto:3 ~era:1 ~app:"state" ~app_hash:"h" with
-    | Some s -> Snapshot.encode s
-    | None -> Alcotest.fail "snapshot build"
-  in
+  let snap = encode (image store ~upto:3 ~app:"state" ~app_hash:"h") in
   let chunk = 64 in
   let len = String.length snap in
   let total = (len + chunk - 1) / chunk in
   Alcotest.(check bool) "multiple chunks" true (total > 1);
   let last_off = (total - 1) * chunk in
   for keep = 0 to len - last_off - 1 do
-    match Snapshot.decode (String.sub snap 0 (last_off + keep)) with
+    match Snapshot.restore [ String.sub snap 0 (last_off + keep) ] with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "truncated final chunk (keep=%d) decoded" keep
   done;
   (* The intact reassembly still decodes. *)
-  match Snapshot.decode snap with
-  | Ok s -> Alcotest.(check int) "upto" 3 s.Snapshot.upto
+  match Snapshot.restore [ snap ] with
+  | Ok (m, _) -> Alcotest.(check int) "upto" 3 m.Snapshot.m_upto
   | Error e -> Alcotest.failf "intact decode: %s" e
 
 (* ---- Recovery ---- *)
@@ -214,11 +221,7 @@ let wal_media_of records =
 let test_recovery_snapshot_plus_suffix () =
   let blocks = mk_blocks 8 in
   let store = Test_chain.chain_of_blocks (List.init 8 (fun i -> i mod 4)) in
-  let snap =
-    match Snapshot.build ~store ~upto:4 ~era:1 ~app:"" ~app_hash:"" with
-    | Some s -> Snapshot.encode s
-    | None -> Alcotest.fail "snapshot build"
-  in
+  let snap = image store ~upto:4 in
   let suffix =
     List.filteri (fun i _ -> i > 4) blocks
     |> List.map (fun b ->
@@ -227,7 +230,7 @@ let test_recovery_snapshot_plus_suffix () =
                signature = sig_of b.Block.header.Header.round })
   in
   let media = wal_media_of (suffix @ [ Wal.Definite { upto = 5; era = 1 } ]) in
-  let r = Recovery.run ~snapshot_media:(Some snap) ~wal_media:media ~app:None in
+  let r = Recovery.run ~snapshot:(Some snap) ~wal_media:media ~app:None in
   Alcotest.(check bool) "from snapshot" true r.Recovery.r_from_snapshot;
   Alcotest.(check bool) "not torn" false r.Recovery.r_torn;
   Alcotest.(check int) "full chain rebuilt" 8 (Store.length r.Recovery.r_store);
@@ -265,7 +268,7 @@ let test_recovery_truncate_replay () =
         Wal.Definite { upto = 2; era = 0 } ]
   in
   let r =
-    Recovery.run ~snapshot_media:None ~wal_media:(wal_media_of records)
+    Recovery.run ~snapshot:None ~wal_media:(wal_media_of records)
       ~app:None
   in
   Alcotest.(check int) "length" 5 (Store.length r.Recovery.r_store);
@@ -280,8 +283,72 @@ let test_recovery_truncate_replay () =
   Alcotest.(check string) "sig replaced" "sig-3b"
     (List.assoc 3 r.Recovery.r_sigs)
 
+(* A damaged snapshot base is rejected whole — a flipped byte in any
+   frame, a dropped segment or two swapped segments — and recovery
+   falls back to the WAL alone rather than applying half a prefix. *)
+let test_recovery_rejects_damaged_snapshot () =
+  let store = Test_chain.chain_of_blocks (List.init 8 (fun i -> i mod 4)) in
+  let snap = image store ~upto:5 in
+  let segs = snap.Snapshot.segments in
+  Alcotest.(check int) "three segments" 3 (List.length segs);
+  let media =
+    wal_media_of
+      (List.map
+         (fun b ->
+           Wal.Append
+             { block = b; signature = sig_of b.Block.header.Header.round })
+         (Store.sub store ~from:0)
+      @ [ Wal.Definite { upto = 5; era = 1 } ])
+  in
+  let base_used label snap =
+    let r = Recovery.run ~snapshot:(Some snap) ~wal_media:media ~app:None in
+    Alcotest.(check int) (label ^ ": chain from the WAL") 8
+      (Store.length r.Recovery.r_store);
+    r.Recovery.r_from_snapshot
+  in
+  Alcotest.(check bool) "intact base used" true (base_used "intact" snap);
+  let reject label segments =
+    if base_used label { snap with Snapshot.segments } then
+      Alcotest.failf "%s: damaged snapshot base accepted" label
+  in
+  let flip s off =
+    let b = Bytes.of_string s in
+    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x01));
+    Bytes.to_string b
+  in
+  List.iteri
+    (fun i seg ->
+      let len = String.length seg.Snapshot.frame in
+      (* every frame-header byte, then a stride through the body *)
+      let offs = List.init 16 Fun.id @ List.init (len / 7) (fun k -> 16 + (7 * k)) in
+      List.iter
+        (fun off ->
+          if off < len then
+            reject
+              (Printf.sprintf "segment %d byte %d" i off)
+              (List.mapi
+                 (fun j s ->
+                   if j = i then { s with Snapshot.frame = flip s.Snapshot.frame off }
+                   else s)
+                 segs))
+        offs;
+      reject (Printf.sprintf "segment %d dropped" i)
+        (List.filteri (fun j _ -> j <> i) segs))
+    segs;
+  (match segs with
+  | [ c; b; a ] ->
+      reject "first two swapped" [ c; a; b ];
+      reject "last two swapped" [ b; c; a ]
+  | _ -> assert false);
+  for off = 0 to String.length snap.Snapshot.manifest - 1 do
+    if
+      base_used "manifest flip"
+        { snap with Snapshot.manifest = flip snap.Snapshot.manifest off }
+    then Alcotest.failf "manifest byte %d flip accepted" off
+  done
+
 let test_recovery_nothing_durable () =
-  let r = Recovery.run ~snapshot_media:None ~wal_media:"" ~app:None in
+  let r = Recovery.run ~snapshot:None ~wal_media:"" ~app:None in
   Alcotest.(check int) "empty store" 0 (Store.length r.Recovery.r_store);
   Alcotest.(check int) "no definite" (-1) r.Recovery.r_definite;
   Alcotest.(check bool) "not from snapshot" false r.Recovery.r_from_snapshot
@@ -415,6 +482,75 @@ let test_node_snapshot_truncates_wal () =
       Alcotest.(check bool) "integrity" true
         (Store.check_integrity r.Recovery.r_store)
 
+(* Each definite round is sealed into exactly one durable segment, so
+   the bytes a snapshot schedule writes grow linearly with the chain:
+   the segments hold blocks 0..39 once each plus a fixed frame
+   overhead, and the disk sees nothing beyond them and one manifest
+   per snapshot on top of the WAL. A state-transfer donor sealing from
+   the same log mid-interval only adds a segment boundary. *)
+let test_node_seals_each_round_once () =
+  let store = Test_chain.chain_of_blocks (List.init 40 (fun i -> i mod 4)) in
+  let run ?donor_at snapshot_interval =
+    let e = Engine.create () in
+    let n =
+      Node.create e
+        ~config:{ node_config with Node.snapshot_interval }
+        ()
+    in
+    Node.attach_chain n (fun () -> (store, 39, 0));
+    Fiber.spawn e (fun () ->
+        Store.iter store (fun b ->
+            let r = b.Block.header.Header.round in
+            Node.log_append n ~block:b ~signature:(sig_of r);
+            Node.log_definite n ~upto:r ~era:0 b;
+            if donor_at = Some r then
+              ignore (Snapshot.extend (Node.log n) store ~upto:r));
+        Node.sync n);
+    Engine.run e;
+    n
+  in
+  let wal_only = (Node.stats (run 0)).Node.s_bytes in
+  let block_bytes = ref 0 in
+  Store.iter store (fun b ->
+      block_bytes := !block_bytes + String.length (Serial.block_to_string b));
+  List.iter
+    (fun (donor_at, segments) ->
+      let n = run ?donor_at 4 in
+      let snap =
+        match Node.snapshot n with
+        | Some s -> s
+        | None -> Alcotest.fail "no durable snapshot"
+      in
+      Alcotest.(check int) "snapshot upto" 39 snap.Snapshot.upto;
+      let segs = List.rev snap.Snapshot.segments in
+      Alcotest.(check int) "segments" segments (List.length segs);
+      Alcotest.(check int) "snapshots" 10 (Node.stats n).Node.s_snapshots;
+      let next =
+        List.fold_left
+          (fun expect s ->
+            Alcotest.(check int) "segment starts after the previous" expect
+              s.Snapshot.first;
+            s.Snapshot.last + 1)
+          0 segs
+      in
+      Alcotest.(check int) "segments end at round 39" 40 next;
+      let seg_bytes =
+        List.fold_left (fun acc s -> acc + String.length s.Snapshot.frame) 0 segs
+      in
+      let overhead s =
+        (* u32 length + envelope header + varint first + varint last *)
+        4 + 6
+        + Fl_wire.Codec.varint_size s.Snapshot.first
+        + Fl_wire.Codec.varint_size s.Snapshot.last
+      in
+      Alcotest.(check int) "segments = blocks 0..39 + frame overhead"
+        (!block_bytes + List.fold_left (fun acc s -> acc + overhead s) 0 segs)
+        seg_bytes;
+      Alcotest.(check int) "disk bytes = WAL + segments + manifests"
+        (wal_only + seg_bytes + (10 * String.length snap.Snapshot.manifest))
+        (Node.stats n).Node.s_bytes)
+    [ (None, 10); (Some 17, 11) ]
+
 let test_node_group_commit_flusher () =
   let e = Engine.create () in
   let config =
@@ -453,6 +589,8 @@ let suite =
       test_recovery_snapshot_plus_suffix;
     Alcotest.test_case "recovery truncate replay" `Quick
       test_recovery_truncate_replay;
+    Alcotest.test_case "recovery rejects damaged snapshot" `Quick
+      test_recovery_rejects_damaged_snapshot;
     Alcotest.test_case "recovery nothing durable" `Quick
       test_recovery_nothing_durable;
     Alcotest.test_case "disk model" `Quick test_disk_model;
@@ -461,5 +599,7 @@ let suite =
     Alcotest.test_case "node disk loss" `Quick test_node_disk_loss;
     Alcotest.test_case "node snapshot truncates wal" `Quick
       test_node_snapshot_truncates_wal;
+    Alcotest.test_case "node seals each round once" `Quick
+      test_node_seals_each_round_once;
     Alcotest.test_case "node group commit flusher" `Quick
       test_node_group_commit_flusher ]
