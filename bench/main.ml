@@ -31,6 +31,10 @@ let payload_4k = String.init 4096 (fun i -> Char.chr (i land 0xff))
 
 let registry = Fl_crypto.Signature.create_registry ~seed:"bench" ~n:4
 
+(* A full synthetic body, as on the steady FLO workload (b = 100): its
+   hash is the block-body commitment every node computes once per body. *)
+let body_100 = Array.init 100 (fun i -> Fl_chain.Tx.create ~id:i ~size:128)
+
 let mini_flo ~n ~workers ~batch ~byzantine () =
   let config =
     { (Fl_fireledger.Config.default ~n) with
@@ -89,7 +93,7 @@ let mini_pbft () =
    the [Printf.sprintf "ob:%d:%d:%d"] it replaced — the ~6x gap cited
    in lib/fireledger/msg.ml is measured here. *)
 let codec_msg =
-  let txs = Array.init 100 (fun i -> Fl_chain.Tx.create ~id:i ~size:128) in
+  let txs = body_100 in
   let block =
     Fl_chain.Block.create ~round:1 ~proposer:0
       ~prev_hash:Fl_chain.Block.genesis_hash txs
@@ -215,6 +219,9 @@ let kernels : (string * string * (unit -> unit)) list =
         ignore
           (Fl_crypto.Sha256.hmac ~key:"k" "calibration-message-64-bytes....")
     );
+    ( "crypto",
+      "crypto/body-hash-100",
+      fun () -> ignore (Fl_chain.Block.body_hash body_100) );
     (* Codec kernels: encode/decode of a 100-tx block body frame and
        the per-dispatch channel-key builders. *)
     ( "codec",

@@ -2,19 +2,32 @@ type t = { header : Header.t; txs : Tx.t array }
 
 let genesis_hash = Fl_crypto.Sha256.digest "fireledger-genesis"
 
+(* The commitment stream, laid out in one buffer and fed in one call
+   so the compression kernel sees every whole block at once: 16 bytes
+   (id, size) per synthetic transaction, the 32-byte digest per
+   payload transaction. *)
 let body_hash txs =
-  let ctx = Fl_crypto.Sha256.init () in
-  let buf = Bytes.create 16 in
+  let len =
+    Array.fold_left
+      (fun acc tx -> acc + if tx.Tx.payload = "" then 16 else 32)
+      0 txs
+  in
+  let buf = Bytes.create len in
+  let pos = ref 0 in
   Array.iter
     (fun tx ->
       if tx.Tx.payload = "" then begin
-        (* synthetic commitment packed in place: id + size *)
-        Bytes.set_int64_le buf 0 (Int64.of_int tx.Tx.id);
-        Bytes.set_int64_le buf 8 (Int64.of_int tx.Tx.size);
-        Fl_crypto.Sha256.feed_bytes ctx buf
+        Bytes.set_int64_le buf !pos (Int64.of_int tx.Tx.id);
+        Bytes.set_int64_le buf (!pos + 8) (Int64.of_int tx.Tx.size);
+        pos := !pos + 16
       end
-      else Fl_crypto.Sha256.feed_string ctx (Tx.digest tx))
+      else begin
+        Bytes.blit_string (Tx.digest tx) 0 buf !pos 32;
+        pos := !pos + 32
+      end)
     txs;
+  let ctx = Fl_crypto.Sha256.init () in
+  Fl_crypto.Sha256.feed_bytes ctx buf;
   Fl_crypto.Sha256.finalize ctx
 
 let create ~round ~proposer ~prev_hash txs =

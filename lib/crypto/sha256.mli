@@ -1,9 +1,13 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4): an OCaml front end (buffering, padding, digest
+    layout) over a C compression kernel that absorbs every whole
+    64-byte block of a feed in one call. The kernel keeps no state of
+    its own, so contexts on different domains never interfere.
 
     Used for block hashes, Merkle trees and as the PRF underlying the
     simulated signature scheme. Incremental ([init]/[feed]/[finalize])
     and one-shot ([digest]) interfaces are provided. Digests are
-    32-byte [string] values. *)
+    32-byte [string] values. Every entry point is one
+    [Fl_prof.Prof.sha256] frame when profiling is on. *)
 
 type t
 (** Mutable hashing context. *)

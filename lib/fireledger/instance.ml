@@ -41,8 +41,7 @@ type t = {
   detector : Detector.t;
   rotation : Rotation.t;
   (* dissemination state *)
-  bodies : (string, Tx.t array) Hashtbl.t;
-  body_arrival : (string, Time.t) Hashtbl.t;
+  bodies : Bodies.t;
   stash : (int, Types.proposal * Time.t) Hashtbl.t;  (* per proposer *)
   fetched : (int, Types.signed_header * Tx.t array) Hashtbl.t;
       (* pull replies keyed by round — feeds the catch-up sync *)
@@ -219,15 +218,13 @@ let predicted_next t ~k =
 
 (* ---------- bodies ---------- *)
 
-let store_body t txs ~at =
-  let bytes = body_bytes txs in
-  charge_hash t ~bytes;
-  let bh = Block.body_hash txs in
-  if not (Hashtbl.mem t.bodies bh) then begin
-    Hashtbl.replace t.bodies bh txs;
-    Hashtbl.replace t.body_arrival bh at;
-    pulse_fill t
-  end;
+(* [bh], when given, must be [Block.body_hash txs]: the caller already
+   knows it (see [Bodies.received_hash]). The simulated hash is charged
+   either way. *)
+let store_body ?bh t txs ~at =
+  charge_hash t ~bytes:(body_bytes txs);
+  let bh = match bh with Some bh -> bh | None -> Block.body_hash txs in
+  if Bodies.add t.bodies ~bh txs ~at then pulse_fill t;
   bh
 
 let synth_tx t =
@@ -362,7 +359,7 @@ let make_proposal t ~round ~prev_hash =
       if t.config.Config.separate_bodies && not in_flow then begin
         (* the archived body left the normal dissemination flow
            (its block was appended then rescinded); re-disseminate *)
-        ignore (store_body t txs ~at:(now t));
+        ignore (store_body t txs ~bh ~at:(now t));
         send_body t txs ~bh
       end;
       let body = if t.config.Config.separate_bodies then None else Some txs in
@@ -446,10 +443,7 @@ let stash_extends_tip t (p : Types.proposal) =
    evidence adoption. *)
 let deliverable_body t (p : Types.proposal) =
   let h = p.Types.sh.Types.header in
-  match
-    if String.equal h.Header.body_hash (Block.body_hash [||]) then Some [||]
-    else Hashtbl.find_opt t.bodies h.Header.body_hash
-  with
+  match Bodies.find t.bodies h.Header.body_hash with
   | Some txs
     when h.Header.tx_count = Array.length txs
          && t.valid { Block.header = h; txs } ->
@@ -504,7 +498,11 @@ let note_proposal t ~src (p : Types.proposal) =
           | None -> ());
           Hashtbl.replace t.stash owner (p, now t);
           (match p.Types.body with
-          | Some txs -> ignore (store_body t txs ~at:(now t))
+          | Some txs ->
+              let bh =
+                Bodies.received_hash t.bodies ~claimed:h.Header.body_hash txs
+              in
+              ignore (store_body t txs ~bh ~at:(now t))
           | None -> ());
           pulse_fill t
         end
@@ -550,18 +548,8 @@ let rec obtain_proposal t ~k ~r ~deadline ~abort =
         obtain_proposal t ~k ~r ~deadline ~abort
       else best_stash t ~k ~r
 
-(* Empty blocks all commit to the same body hash; synthesising the
-   empty body instead of tracking it in [bodies] avoids the shared
-   entry being dropped when one of the identical blocks is appended.
-   Non-empty bodies are unique (transaction ids are node-prefixed). *)
-let empty_body_hash = Block.body_hash [||]
-
-let find_body t hash =
-  if String.equal hash empty_body_hash then Some [||]
-  else Hashtbl.find_opt t.bodies hash
-
 let rec obtain_body t ~hash ~deadline ~abort =
-  match find_body t hash with
+  match Bodies.find t.bodies hash with
   | Some txs -> Some txs
   | None ->
       if wait_pulse t ~deadline ~abort then obtain_body t ~hash ~deadline ~abort
@@ -644,8 +632,9 @@ let recover_delivery t ~k ~r ~obbc ~abort =
     Race.check ~abort;
     match best_stash t ~k ~r with
     | Some (p, at)
-      when find_body t p.Types.sh.Types.header.Header.body_hash <> None -> (
-        match find_body t p.Types.sh.Types.header.Header.body_hash with
+      when Bodies.find t.bodies p.Types.sh.Types.header.Header.body_hash
+           <> None -> (
+        match Bodies.find t.bodies p.Types.sh.Types.header.Header.body_hash with
         | Some txs -> (p, txs, at)
         | None -> assert false)
     | _ ->
@@ -656,7 +645,7 @@ let recover_delivery t ~k ~r ~obbc ~abort =
           if wait_pulse t ~deadline ~abort then
             match best_stash t ~k ~r with
             | Some (p, _)
-              when find_body t p.Types.sh.Types.header.Header.body_hash
+              when Bodies.find t.bodies p.Types.sh.Types.header.Header.body_hash
                    <> None ->
                 ()
             | _ -> wait ()
@@ -968,7 +957,7 @@ let accept_block t (p : Types.proposal) txs ~header_at =
         ~signature:p.Types.sh.Types.signature
   | None -> ());
   let a =
-    match Hashtbl.find_opt t.body_arrival h.Header.body_hash with
+    match Bodies.arrival t.bodies h.Header.body_hash with
     | Some at -> at
     | None -> header_at
   in
@@ -991,8 +980,7 @@ let accept_block t (p : Types.proposal) txs ~header_at =
     | _ -> ());
     Hashtbl.remove t.own_in_flight h.Header.body_hash
   end;
-  Hashtbl.remove t.bodies h.Header.body_hash;
-  Hashtbl.remove t.body_arrival h.Header.body_hash;
+  Bodies.remove t.bodies h.Header.body_hash;
   mark_definite t;
   t.attempt <- 0;
   (* Advance the cursor from the block's proposer, not the local
@@ -1341,7 +1329,8 @@ let rescind_tentative_suffix t =
    header and passes external validity. *)
 let well_formed t ((sh : Types.signed_header), txs) =
   sh.Types.header.Header.tx_count = Array.length txs
-  && String.equal (Block.body_hash txs) sh.Types.header.Header.body_hash
+  && (let claimed = sh.Types.header.Header.body_hash in
+      String.equal (Bodies.received_hash t.bodies ~claimed txs) claimed)
   && t.valid { Block.header = sh.Types.header; txs }
 
 (* Append the pulled block for round [r] if it is well-formed and
@@ -1790,9 +1779,10 @@ let spawn_body_fiber t =
       let box = Hub.box t.env.Env.hub "body" in
       while true do
         match Mailbox.recv box with
-        | _src, Msg.Body { txs; ttl; _ } ->
-            let fresh = not (Hashtbl.mem t.bodies (Block.body_hash txs)) in
-            let bh = store_body t txs ~at:(now t) in
+        | _src, Msg.Body { body_hash; txs; ttl } ->
+            let bh = Bodies.received_hash t.bodies ~claimed:body_hash txs in
+            let fresh = not (Bodies.mem t.bodies bh) in
+            ignore (store_body t txs ~bh ~at:(now t));
             (match t.config.Config.dissemination with
             | Config.Gossip fanout when fresh && ttl > 0 ->
                 multicast t ~dsts:(gossip_peers t fanout)
@@ -1807,7 +1797,11 @@ let spawn_reply_fiber t =
       while true do
         match Mailbox.recv box with
         | src, Msg.Reply { round; proposal; txs } ->
-            ignore (store_body t txs ~at:(now t));
+            let bh =
+              Bodies.received_hash t.bodies
+                ~claimed:proposal.Types.sh.Types.header.Header.body_hash txs
+            in
+            ignore (store_body t txs ~bh ~at:(now t));
             note_proposal t ~src proposal;
             (* Remember whole fetched blocks for the catch-up sync. *)
             let h = proposal.Types.sh.Types.header in
@@ -1844,7 +1838,7 @@ let spawn_service_fiber t =
                       | None ->
                           let h = p.Types.sh.Types.header in
                           if h.Header.round = r then
-                            match find_body t h.Header.body_hash with
+                            match Bodies.find t.bodies h.Header.body_hash with
                             | Some txs -> Some (p.Types.sh, txs)
                             | None -> None
                           else None)
@@ -1922,8 +1916,7 @@ let create env ~config ?(behavior = Honest) ?(valid = fun _ -> true) ?persist
     timer = Timer.create config;
     detector = Detector.create config;
     rotation = Rotation.create config ~seed:env.Env.seed;
-    bodies = Hashtbl.create 64;
-    body_arrival = Hashtbl.create 64;
+    bodies = Bodies.create ();
     stash = Hashtbl.create 16;
     fetched = Hashtbl.create 64;
     signed_headers = Hashtbl.create 1024;

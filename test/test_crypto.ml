@@ -18,23 +18,33 @@ let test_sha256_vectors () =
     (Sha256.digest (String.make 1_000_000 'a'))
 
 let test_sha256_incremental () =
-  let s = "the quick brown fox jumps over the lazy dog, repeatedly" in
-  let one_shot = Sha256.digest s in
-  (* Feed in awkward chunk sizes crossing the 64-byte block boundary. *)
-  List.iter
-    (fun chunk ->
-      let ctx = Sha256.init () in
-      let pos = ref 0 in
-      while !pos < String.length s do
-        let len = min chunk (String.length s - !pos) in
-        Sha256.feed_string ctx ~off:!pos ~len s;
-        pos := !pos + len
-      done;
-      Alcotest.(check string)
-        (Printf.sprintf "chunk %d" chunk)
-        (Hex.encode one_shot)
-        (Hex.encode (Sha256.finalize ctx)))
-    [ 1; 3; 7; 13; 63; 64; 65 ]
+  (* Feed [s] in [chunk]-byte pieces and compare with the one-shot
+     digest (itself pinned by the NIST vectors). *)
+  let check s chunks =
+    let one_shot = Sha256.digest s in
+    List.iter
+      (fun chunk ->
+        let ctx = Sha256.init () in
+        let pos = ref 0 in
+        while !pos < String.length s do
+          let len = min chunk (String.length s - !pos) in
+          Sha256.feed_string ctx ~off:!pos ~len s;
+          pos := !pos + len
+        done;
+        Alcotest.(check string)
+          (Printf.sprintf "%d bytes, chunk %d" (String.length s) chunk)
+          (Hex.encode one_shot)
+          (Hex.encode (Sha256.finalize ctx)))
+      chunks
+  in
+  (* Awkward chunk sizes crossing the 64-byte block boundary. *)
+  check "the quick brown fox jumps over the lazy dog, repeatedly"
+    [ 1; 3; 7; 13; 63; 64; 65 ];
+  (* A multi-block message: single feeds hand the compression kernel
+     several whole blocks at once, from aligned and unaligned offsets
+     and after a partly filled staging block. *)
+  let long = String.init 1337 (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+  check long [ 64; 65; 128; 200; 1000; String.length long ]
 
 (* RFC 4231 test case 2. *)
 let test_hmac_vector () =

@@ -254,6 +254,59 @@ let test_version_rejects_tampered_body () =
        { Types.recovery_round = 4; origin = 0; blocks = tampered }
     = Types.Invalid)
 
+(* ---------- Bodies ---------- *)
+
+(* A received body goes through [Bodies.received_hash] then
+   [Bodies.add], as in the instance's body fiber; [deliver] does the
+   same for a body that crossed the wire in a [Msg.Body] frame. *)
+let deliver bodies ~claimed txs ~at =
+  let frame = Msg.encode (Msg.Body { body_hash = claimed; txs; ttl = 0 }) in
+  match Msg.decode frame with
+  | Some (Msg.Body { body_hash; txs; _ }) ->
+      let bh = Bodies.received_hash bodies ~claimed:body_hash txs in
+      (bh, Bodies.add bodies ~bh txs ~at)
+  | _ -> Alcotest.fail "Msg.Body did not round-trip"
+
+let same_txs a b =
+  Array.length a = Array.length b && Array.for_all2 Tx.equal a b
+
+let test_bodies_forged_claim () =
+  let honest = Array.init 100 (fun i -> Tx.create ~id:i ~size:128) in
+  let claimed = Block.body_hash honest in
+  let bodies = Bodies.create () in
+  Alcotest.(check bool) "first copy stored" true
+    (Bodies.add bodies ~bh:claimed honest ~at:10);
+  (* An honest copy is recognised without hashing and not re-stored. *)
+  let bh, added = deliver bodies ~claimed honest ~at:20 in
+  Alcotest.(check string) "honest copy: claimed hash" claimed bh;
+  Alcotest.(check bool) "honest copy: not re-stored" false added;
+  let swap j tx' = Array.mapi (fun i tx -> if i = j then tx' else tx) honest in
+  let forgeries =
+    [ ("other tx", swap 7 (Tx.create ~id:999 ~size:128));
+      ("other size", swap 0 (Tx.create ~id:0 ~size:64));
+      ("payload", swap 99 (Tx.create_payload ~id:99 "x"));
+      ("prefix", Array.sub honest 0 99);
+      ("empty", [||]) ]
+  in
+  List.iter
+    (fun (name, forged) ->
+      let bh, _ = deliver bodies ~claimed forged ~at:30 in
+      Alcotest.(check string)
+        (name ^ ": true hash") (Block.body_hash forged) bh;
+      Alcotest.(check bool)
+        (name ^ ": not the claim") false (String.equal bh claimed);
+      Alcotest.(check bool) (name ^ ": stored under its true hash") true
+        (match Bodies.find bodies bh with
+        | Some txs -> same_txs txs forged
+        | None -> false);
+      Alcotest.(check bool) (name ^ ": claimed entry untouched") true
+        (match Bodies.find bodies claimed with
+        | Some txs -> same_txs txs honest
+        | None -> false);
+      Alcotest.(check (option int)) (name ^ ": claimed arrival untouched")
+        (Some 10) (Bodies.arrival bodies claimed))
+    forgeries
+
 let prop_chain_versions_valid =
   QCheck.Test.make ~name:"types: honest suffixes always validate" ~count:50
     QCheck.(pair small_nat (int_bound 100))
@@ -291,4 +344,5 @@ let suite =
       test_version_rejects_rotation_violation;
     Alcotest.test_case "version tampered body" `Quick
       test_version_rejects_tampered_body;
+    Alcotest.test_case "bodies: forged claim" `Quick test_bodies_forged_claim;
     QCheck_alcotest.to_alcotest prop_chain_versions_valid ]
