@@ -88,10 +88,7 @@ let mini_pbft () =
   Fl_baselines.Pbft_cluster.run ~until:(Fl_sim.Time.ms 200) pb
 
 (* Codec micro-bench: the wire codec sits on every message hop, so its
-   cost is part of the simulator's own overhead (not simulated time).
-   The key kernels compare [Msg.ob_key]'s plain concatenation against
-   the [Printf.sprintf "ob:%d:%d:%d"] it replaced — the ~6x gap cited
-   in lib/fireledger/msg.ml is measured here. *)
+   cost is part of the simulator's own overhead (not simulated time). *)
 let codec_msg =
   let txs = body_100 in
   let block =
@@ -222,8 +219,7 @@ let kernels : (string * string * (unit -> unit)) list =
     ( "crypto",
       "crypto/body-hash-100",
       fun () -> ignore (Fl_chain.Block.body_hash body_100) );
-    (* Codec kernels: encode/decode of a 100-tx block body frame and
-       the per-dispatch channel-key builders. *)
+    (* Codec kernels: encode/decode of a 100-tx block body frame. *)
     ( "codec",
       "codec/encode-body-100tx",
       fun () -> ignore (Fl_fireledger.Msg.encode codec_msg) );
@@ -236,13 +232,6 @@ let kernels : (string * string * (unit -> unit)) list =
         ignore
           (Fl_fireledger.Msg.decode_sub codec_framed_buf
              ~pos:codec_framed_pos ~len:codec_framed_len) );
-    ( "codec",
-      "codec/ob-key-concat",
-      fun () -> ignore (Fl_fireledger.Msg.ob_key ~era:3 ~round:12345 ~attempt:2)
-    );
-    ( "codec",
-      "codec/ob-key-sprintf",
-      fun () -> ignore (Printf.sprintf "ob:%d:%d:%d" 3 12345 2) );
     (* Substrate kernels. *)
     ( "substrate",
       "substrate/event-queue-10k",

@@ -6,7 +6,6 @@ type 'a msg =
   | Send of { origin : int; tag : int; payload : 'a }
   | Echo of { origin : int; tag : int; payload : 'a }
   | Ready of { origin : int; tag : int; payload : 'a }
-  | Stop
 
 (* In-body codec, parameterized over the payload codec; the carrier
    protocol (WRB's [Rb]) owns the envelope. *)
@@ -21,11 +20,9 @@ let write_msg write_payload w m =
   | Send { origin; tag; payload } -> body 0 origin tag payload
   | Echo { origin; tag; payload } -> body 1 origin tag payload
   | Ready { origin; tag; payload } -> body 2 origin tag payload
-  | Stop -> Codec.Writer.u8 w 3
 
 let read_msg read_payload r =
   match Codec.Reader.u8 r with
-  | 3 -> Stop
   | t when t <= 2 ->
       let origin = Codec.Reader.varint r in
       let tag = Codec.Reader.varint r in
@@ -148,7 +145,6 @@ let try_deliver t key i digest =
 
 let handle t (src, msg) =
   match msg with
-  | Stop -> t.stopped <- true
   | Send { origin; tag; payload } ->
       if src = origin then begin
         let i = instance t (origin, tag) in
@@ -197,10 +193,6 @@ let broadcast t ~tag payload =
   Fl_metrics.Recorder.incr t.recorder "rb_broadcasts";
   bcast t (Send { origin = t.channel.Channel.self; tag; payload })
 
-let stop t =
-  if not t.stopped then
-    t.channel.Channel.send ~dst:t.channel.Channel.self Stop
-
-(* Synchronous stop for teardown paths where the [stop] self-send
-   cannot be delivered any more (cold restart replaced the inbox). *)
+(* Synchronous stop for teardown: a cold restart replaced the inbox,
+   so the service fiber never runs again. *)
 let halt t = t.stopped <- true

@@ -20,7 +20,6 @@ type 'a msg =
   | Send of { origin : int; tag : int; payload : 'a }
   | Echo of { origin : int; tag : int; payload : 'a }
   | Ready of { origin : int; tag : int; payload : 'a }
-  | Stop  (** local control; never on wire *)
 (** Exposed so tests and Byzantine adversaries can inject raw protocol
     traffic (e.g. an equivocating SEND). *)
 
@@ -58,8 +57,6 @@ val broadcast : 'a t -> tag:int -> 'a -> unit
 (** RB-broadcast a payload under a fresh tag (tags must not be reused
     by the same origin). *)
 
-val stop : 'a t -> unit
-
 val halt : 'a t -> unit
-(** Synchronous teardown (no self-send): for cold restarts where the
-    inbox was replaced and a [Stop] message would never arrive. *)
+(** Stop the service (synchronously, no message): for cold restarts,
+    where the inbox was replaced. *)

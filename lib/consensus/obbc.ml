@@ -255,7 +255,6 @@ let propose t ?abort ~vote ~pgd () =
         v
       end)
 
-let decision t = t.decision
 let evidence_received t = t.valid_evidence
 
 let close t =

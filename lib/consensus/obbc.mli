@@ -75,9 +75,6 @@ val propose :
     evidence. Raises {!Race.Aborted} if [abort] fills first (the
     instance keeps serving in the background). *)
 
-val decision : 'p t -> bool Ivar.t
-(** The decision, observable without blocking. *)
-
 val evidence_received : 'p t -> string option
 (** A valid evidence collected on the slow path, if any — in WRB this
     carries the proposer-signed message itself, letting a node that

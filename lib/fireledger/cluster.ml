@@ -66,19 +66,8 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
                  ~config:pc ()))
   in
   let mk_instance i ~incarnation =
-    (* Frames decode at the hub; a frame that fails to decode (bit
-       flipped, truncated) is dropped and counted, like a NIC checksum
-       discard. *)
-    let on_malformed ~src ~bytes =
-      Fl_metrics.Recorder.incr recorder "decode_errors";
-      Fl_obs.Obs.instant obs ~cat:"net" ~name:"decode_error" ~node:i
-        ~worker:0
-        ~args:[ ("src", string_of_int src); ("bytes", string_of_int bytes) ]
-        ~at:(Engine.now engine) ()
-    in
     let hub =
-      Hub.create engine ~inbox:(Net.inbox net i) ~decode:Msg.decode
-        ~on_malformed ~key:Msg.key ()
+      Env.hub engine ~recorder ~obs ~node:i ~worker:0 (Net.inbox net i)
     in
     let env =
       { Env.engine;

@@ -16,13 +16,7 @@ type t = {
   initial_timeout : Time.t;  (** WRB timer τ before tuning kicks in *)
   min_timeout : Time.t;
   max_timeout : Time.t;
-  timer_ema_n : int;  (** N of the §6.1.1 EMA *)
-  timer_slack : float;
-      (** timeout = slack × EMA(delay): the margin above the average
-          proposal delay *)
   fd_enabled : bool;  (** benign failure detector (§6.1.1) *)
-  fd_threshold : int;
-      (** consecutive timed-out proposing rounds before suspicion *)
   gc_window : int;
       (** rounds of live per-round protocol state kept for laggards *)
   prune_window : int;

@@ -1,3 +1,6 @@
+(* Consecutive timed-out proposing rounds before suspicion. *)
+let threshold = 2
+
 type t = {
   config : Config.t;
   strikes : (int, int) Hashtbl.t;
@@ -18,7 +21,7 @@ let record_timeout t ~proposer =
     in
     Hashtbl.replace t.strikes proposer s;
     if
-      s >= t.config.Config.fd_threshold
+      s >= threshold
       && Hashtbl.length t.suspects < t.config.Config.f
     then Hashtbl.replace t.suspects proposer ()
   end

@@ -13,7 +13,7 @@ type t = {
   cost : Fl_crypto.Cost_model.t;
   cpu : Cpu.t;  (** the node's CPU, shared by its workers *)
   net : Net.t;  (** this worker's network instance (byte transport) *)
-  hub : Msg.t Hub.t;
+  hub : (Msg.chan, Msg.t) Hub.t;
   me : int;
   f : int;  (** resilience parameter, shared with Config.f *)
   seed : int;  (** experiment seed (common coin, rotation) *)
@@ -22,6 +22,14 @@ type t = {
   worker : int;  (** FLO worker index, [0] standalone, for attribution *)
 }
 
-let channel env ~key =
-  Channel.of_hub env.hub ~key ~net:env.net ~self:env.me ~f:env.f
-    ~encode:Msg.encode ~inj:Fun.id ~prj:Fun.id
+(* A worker's hub over its inbox. A frame that fails to decode (bit
+   flipped, truncated) is dropped and counted, like a NIC checksum
+   discard. *)
+let hub engine ~recorder ~obs ~node ~worker inbox =
+  Hub.create engine ~inbox ~decode:Msg.decode ~key:Msg.chan
+    ~on_malformed:(fun ~src ~bytes ->
+      Fl_metrics.Recorder.incr recorder "decode_errors";
+      Fl_obs.Obs.instant obs ~cat:"net" ~name:"decode_error" ~node ~worker
+        ~args:[ ("src", string_of_int src); ("bytes", string_of_int bytes) ]
+        ~at:(Engine.now engine) ())
+    ()

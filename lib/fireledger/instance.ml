@@ -565,7 +565,6 @@ let obbc_for t ~r ~attempt ~k =
   | Some o -> o
   | None ->
       let era = t.era in
-      let skey = Msg.ob_key ~era ~round:r ~attempt in
       (* Per-epoch quorum: the OBBC of round r counts votes against the
          member count of the epoch governing r, and drops frames from
          non-members on the receive side — a stale-epoch node's vote is
@@ -575,8 +574,9 @@ let obbc_for t ~r ~attempt ~k =
       let e = epoch_at t r in
       let qn, qf = epoch_quorum_params t e in
       let channel =
-        Channel.of_hub t.env.Env.hub ~key:skey ~net:t.env.Env.net
-          ~self:(me t) ~n:qn
+        Channel.of_hub t.env.Env.hub
+          ~key:(Msg.Obbc { era; round = r; attempt })
+          ~net:t.env.Env.net ~self:(me t) ~n:qn
           ~accept:(fun src ->
             Epoch.is_member e src
             ||
@@ -590,7 +590,8 @@ let obbc_for t ~r ~attempt ~k =
       in
       let coin =
         Coin.make ~seed:t.env.Env.seed
-          ~instance:(Printf.sprintf "%s/%s" t.env.Env.label skey)
+          ~instance:
+            (Printf.sprintf "%s/ob:%d:%d:%d" t.env.Env.label era r attempt)
       in
       let o =
         Obbc.create (engine t) ~recorder:(recorder t) ~coin ~channel
@@ -732,6 +733,16 @@ let wrb_deliver t ~k =
 
 (* ---------- reconfiguration: state transfer and tx handoff ---------- *)
 
+(* A service fiber: hand every message of one hub channel, in arrival
+   order, to [handle], forever. *)
+let serve t chan handle =
+  Fiber.spawn (engine t) (fun () ->
+      let box = Hub.box t.env.Env.hub chan in
+      while true do
+        let src, m = Mailbox.recv box in
+        handle ~src m
+      done)
+
 let snap_chunk_bytes = 8192
 
 (* Donor side: serve the definite prefix as a segment-addressed
@@ -744,76 +755,66 @@ let snap_chunk_bytes = 8192
    invalidated. The stream id is [upto + 1], so a joiner that resumes
    mid-transfer can tell whether a later donor is continuing the same
    snapshot or starting a newer one. *)
-let spawn_snap_server t =
-  Fiber.spawn (engine t) (fun () ->
-      let box = Hub.box t.env.Env.hub "snapreq" in
-      while true do
-        match Mailbox.recv box with
-        | src, Msg.Snap_req { from_chunk } ->
-            let upto = t.definite_upto in
-            let log =
-              match t.persist with
-              | Some per -> Fl_persist.Node.log per
-              | None -> t.segments
-            in
-            if upto >= 0 then
-              charge_hash t
-                ~bytes:(Fl_persist.Snapshot.extend log t.store ~upto);
-            if upto < 0 || Fl_persist.Snapshot.sealed_upto log <> upto then
-              (* nothing durable yet: an explicit empty reply beats
-                 silence — the joiner backs off instead of timing out *)
+let serve_snap_request t ~src = function
+  | Msg.Snap_req { from_chunk } ->
+      let upto = t.definite_upto in
+      let log =
+        match t.persist with
+        | Some per -> Fl_persist.Node.log per
+        | None -> t.segments
+      in
+      if upto >= 0 then
+        charge_hash t
+          ~bytes:(Fl_persist.Snapshot.extend log t.store ~upto);
+      if upto < 0 || Fl_persist.Snapshot.sealed_upto log <> upto then
+        (* nothing durable yet: an explicit empty reply beats
+           silence — the joiner backs off instead of timing out *)
+        send t ~dst:src
+          (Msg.Snap_chunk
+             { sid = 0;
+               seq = 0;
+               total = 0;
+               data = Fl_wire.Codec.Slice.of_string "" })
+      else begin
+        (* borrowed views of the sealed frames: the chunk bytes
+           are blitted once, straight into the wire frame *)
+        let chunks =
+          List.concat_map
+            (fun p ->
+              let len = String.length p in
+              List.init
+                ((len + snap_chunk_bytes - 1) / snap_chunk_bytes)
+                (fun i ->
+                  let off = i * snap_chunk_bytes in
+                  Fl_wire.Codec.Slice.of_sub p ~pos:off
+                    ~len:(min snap_chunk_bytes (len - off))))
+            (Fl_persist.Snapshot.parts
+               (Fl_persist.Snapshot.make ~upto ~era:t.era ~app:""
+                  ~app_hash:"" ~pruned_below:(Store.pruned_below t.store)
+                  log))
+        in
+        let total = List.length chunks in
+        incr_c t "snap_requests_served";
+        List.iteri
+          (fun seq data ->
+            if seq >= from_chunk then
               send t ~dst:src
-                (Msg.Snap_chunk
-                   { sid = 0;
-                     seq = 0;
-                     total = 0;
-                     data = Fl_wire.Codec.Slice.of_string "" })
-            else begin
-              (* borrowed views of the sealed frames: the chunk bytes
-                 are blitted once, straight into the wire frame *)
-              let chunks =
-                List.concat_map
-                  (fun p ->
-                    let len = String.length p in
-                    List.init
-                      ((len + snap_chunk_bytes - 1) / snap_chunk_bytes)
-                      (fun i ->
-                        let off = i * snap_chunk_bytes in
-                        Fl_wire.Codec.Slice.of_sub p ~pos:off
-                          ~len:(min snap_chunk_bytes (len - off))))
-                  (Fl_persist.Snapshot.parts
-                     (Fl_persist.Snapshot.make ~upto ~era:t.era ~app:""
-                        ~app_hash:"" ~pruned_below:(Store.pruned_below t.store)
-                        log))
-              in
-              let total = List.length chunks in
-              incr_c t "snap_requests_served";
-              List.iteri
-                (fun seq data ->
-                  if seq >= from_chunk then
-                    send t ~dst:src
-                      (Msg.Snap_chunk { sid = upto + 1; seq; total; data }))
-                chunks
-            end
-        | _ -> ()
-      done)
+                (Msg.Snap_chunk { sid = upto + 1; seq; total; data }))
+          chunks
+      end
+  | _ -> ()
 
 (* Receive a leaving node's pending transactions into our pool at
    their original fee priority — the conservation half of a Leave. *)
-let spawn_handoff_fiber t =
-  Fiber.spawn (engine t) (fun () ->
-      let box = Hub.box t.env.Env.hub "handoff" in
-      while true do
-        match Mailbox.recv box with
-        | _src, Msg.Tx_handoff { txs; fees } ->
-            Array.iteri
-              (fun i tx ->
-                incr_c t "txs_handoff_in";
-                ignore (Mempool.readmit t.mempool tx ~fee:fees.(i)))
-              txs;
-            pulse_fill t
-        | _ -> ()
-      done)
+let serve_handoff t ~src:_ = function
+  | Msg.Tx_handoff { txs; fees } ->
+      Array.iteri
+        (fun i tx ->
+          incr_c t "txs_handoff_in";
+          ignore (Mempool.readmit t.mempool tx ~fee:fees.(i)))
+        txs;
+      pulse_fill t
+  | _ -> ()
 
 (* The snap/handoff fibers are spawned lazily — only on instances that
    can actually see reconfiguration (a partial genesis membership, or
@@ -822,8 +823,8 @@ let spawn_handoff_fiber t =
 let ensure_reconfig_fibers t =
   if not t.reconfig_fibers then begin
     t.reconfig_fibers <- true;
-    spawn_snap_server t;
-    spawn_handoff_fiber t
+    serve t Msg.Snap_requests (serve_snap_request t);
+    serve t Msg.Handoffs (serve_handoff t)
   end
 
 (* ---------- epoch scheduling (from definite blocks) ---------- *)
@@ -1640,7 +1641,7 @@ let adopt_snapshot t (m : Fl_persist.Snapshot.manifest) chain =
 let state_transfer t =
   incr_c t "state_transfers";
   let start = now t in
-  let box = Hub.box t.env.Env.hub "snap" in
+  let box = Hub.box t.env.Env.hub Msg.Snap_chunks in
   let chunks : (int, string) Hashtbl.t = Hashtbl.create 64 in
   let sid = ref (-1) in
   let total = ref (-1) in
@@ -1765,95 +1766,72 @@ let main_loop t =
 
 (* ---------- service fibers ---------- *)
 
-let spawn_push_fiber t =
-  Fiber.spawn (engine t) (fun () ->
-      let box = Hub.box t.env.Env.hub "push" in
-      while true do
-        match Mailbox.recv box with
-        | src, Msg.Push { proposal } -> note_proposal t ~src proposal
-        | _ -> ()
-      done)
+let serve_push t ~src = function
+  | Msg.Push { proposal } -> note_proposal t ~src proposal
+  | _ -> ()
 
-let spawn_body_fiber t =
-  Fiber.spawn (engine t) (fun () ->
-      let box = Hub.box t.env.Env.hub "body" in
-      while true do
-        match Mailbox.recv box with
-        | _src, Msg.Body { body_hash; txs; ttl } ->
-            let bh = Bodies.received_hash t.bodies ~claimed:body_hash txs in
-            let fresh = not (Bodies.mem t.bodies bh) in
-            ignore (store_body t txs ~bh ~at:(now t));
-            (match t.config.Config.dissemination with
-            | Config.Gossip fanout when fresh && ttl > 0 ->
-                multicast t ~dsts:(gossip_peers t fanout)
-                  (Msg.Body { body_hash = bh; txs; ttl = ttl - 1 })
-            | _ -> ())
-        | _ -> ()
-      done)
+let serve_body t ~src:_ = function
+  | Msg.Body { body_hash; txs; ttl } ->
+      let bh = Bodies.received_hash t.bodies ~claimed:body_hash txs in
+      let fresh = not (Bodies.mem t.bodies bh) in
+      ignore (store_body t txs ~bh ~at:(now t));
+      (match t.config.Config.dissemination with
+      | Config.Gossip fanout when fresh && ttl > 0 ->
+          multicast t ~dsts:(gossip_peers t fanout)
+            (Msg.Body { body_hash = bh; txs; ttl = ttl - 1 })
+      | _ -> ())
+  | _ -> ()
 
-let spawn_reply_fiber t =
-  Fiber.spawn (engine t) (fun () ->
-      let box = Hub.box t.env.Env.hub "reply" in
-      while true do
-        match Mailbox.recv box with
-        | src, Msg.Reply { round; proposal; txs } ->
-            let bh =
-              Bodies.received_hash t.bodies
-                ~claimed:proposal.Types.sh.Types.header.Header.body_hash txs
-            in
-            ignore (store_body t txs ~bh ~at:(now t));
-            note_proposal t ~src proposal;
-            (* Remember whole fetched blocks for the catch-up sync. *)
-            let h = proposal.Types.sh.Types.header in
-            if
-              round = h.Header.round
-              && round >= t.round
-              && (not (Hashtbl.mem t.fetched round))
-              && Types.signed_header_valid t.env.Env.registry proposal.Types.sh
-            then begin
-              Hashtbl.replace t.fetched round (proposal.Types.sh, txs);
-              pulse_fill t
-            end
-        | _ -> ()
-      done)
+let serve_reply t ~src = function
+  | Msg.Reply { round; proposal; txs } ->
+      let bh =
+        Bodies.received_hash t.bodies
+          ~claimed:proposal.Types.sh.Types.header.Header.body_hash txs
+      in
+      ignore (store_body t txs ~bh ~at:(now t));
+      note_proposal t ~src proposal;
+      (* Remember whole fetched blocks for the catch-up sync. *)
+      let h = proposal.Types.sh.Types.header in
+      if
+        round = h.Header.round
+        && round >= t.round
+        && (not (Hashtbl.mem t.fetched round))
+        && Types.signed_header_valid t.env.Env.registry proposal.Types.sh
+      then begin
+        Hashtbl.replace t.fetched round (proposal.Types.sh, txs);
+        pulse_fill t
+      end
+  | _ -> ()
 
-let spawn_service_fiber t =
-  Fiber.spawn (engine t) (fun () ->
-      let box = Hub.box t.env.Env.hub "svc" in
-      while true do
-        match Mailbox.recv box with
-        | src, Msg.Req { round = r } -> (
-            let answer =
-              match (Store.get t.store r, Hashtbl.find_opt t.signed_headers r) with
-              | Some b, Some sh
-                when Array.length b.Block.txs = b.Block.header.Header.tx_count
-                ->
-                  Some (sh, b.Block.txs)
-              | _ ->
-                  (* not appended yet: serve from the stash *)
-                  Hashtbl.fold
-                    (fun _src (p, _) acc ->
-                      match acc with
-                      | Some _ -> acc
-                      | None ->
-                          let h = p.Types.sh.Types.header in
-                          if h.Header.round = r then
-                            match Bodies.find t.bodies h.Header.body_hash with
-                            | Some txs -> Some (p.Types.sh, txs)
-                            | None -> None
-                          else None)
-                    t.stash None
-            in
-            match answer with
-            | Some (sh, txs) ->
-                send t ~dst:src
-                  (Msg.Reply
-                     { round = r;
-                       proposal = { Types.sh; body = None };
-                       txs })
-            | None -> ())
-        | _ -> ()
-      done)
+let serve_pull t ~src = function
+  | Msg.Req { round = r } -> (
+      let answer =
+        match (Store.get t.store r, Hashtbl.find_opt t.signed_headers r) with
+        | Some b, Some sh
+          when Array.length b.Block.txs = b.Block.header.Header.tx_count ->
+            Some (sh, b.Block.txs)
+        | _ ->
+            (* not appended yet: serve from the stash *)
+            Hashtbl.fold
+              (fun _src (p, _) acc ->
+                match acc with
+                | Some _ -> acc
+                | None ->
+                    let h = p.Types.sh.Types.header in
+                    if h.Header.round = r then
+                      match Bodies.find t.bodies h.Header.body_hash with
+                      | Some txs -> Some (p.Types.sh, txs)
+                      | None -> None
+                    else None)
+              t.stash None
+      in
+      match answer with
+      | Some (sh, txs) ->
+          send t ~dst:src
+            (Msg.Reply
+               { round = r; proposal = { Types.sh; body = None }; txs })
+      | None -> ())
+  | _ -> ()
 
 (* ---------- construction ---------- *)
 
@@ -1978,40 +1956,34 @@ let create env ~config ?(behavior = Honest) ?(valid = fun _ -> true) ?persist
 
 let start t =
   let engine = engine t in
-  (* Panic layer: reliable broadcast of proofs. *)
-  let rb_channel =
-    Channel.of_hub t.env.Env.hub ~key:"rb" ~net:t.env.Env.net ~self:(me t)
-      ~f:(f_of t) ~encode:Msg.encode
-      ~inj:(fun m -> Msg.Rb m)
-      ~prj:(function Msg.Rb m -> m | _ -> assert false)
+  let channel key ~inj ~prj =
+    Channel.of_hub t.env.Env.hub ~key ~net:t.env.Env.net ~self:(me t)
+      ~f:(f_of t) ~encode:Msg.encode ~inj ~prj
   in
+  (* Panic layer: reliable broadcast of proofs. *)
   t.rb <-
     Some
       (Fl_broadcast.Bracha.create engine ~recorder:(recorder t)
-         ~channel:rb_channel ~payload_digest:Types.proof_digest
+         ~channel:
+           (channel Msg.Proofs
+              ~inj:(fun m -> Msg.Rb m)
+              ~prj:(function Msg.Rb m -> m | _ -> assert false))
+         ~payload_digest:Types.proof_digest
          ~deliver:(fun ~origin:_ ~tag:_ proof -> enqueue_proof t proof));
   (* Accountability layer: reliable broadcast of equivocation
      evidence, so one node's sighting becomes everyone's. Keyed by
      payload digest like the proof channel — an equivocating relay
      cannot split the quorum. *)
-  let evd_channel =
-    Channel.of_hub t.env.Env.hub ~key:"evd" ~net:t.env.Env.net ~self:(me t)
-      ~f:(f_of t) ~encode:Msg.encode
-      ~inj:(fun m -> Msg.Evd m)
-      ~prj:(function Msg.Evd m -> m | _ -> assert false)
-  in
   t.evd <-
     Some
       (Fl_broadcast.Bracha.create engine ~recorder:(recorder t)
-         ~channel:evd_channel ~payload_digest:Types.evidence_digest
+         ~channel:
+           (channel Msg.Evidence
+              ~inj:(fun m -> Msg.Evd m)
+              ~prj:(function Msg.Evd m -> m | _ -> assert false))
+         ~payload_digest:Types.evidence_digest
          ~deliver:(fun ~origin:_ ~tag:_ ev -> note_evidence ~relay:false t ev));
   (* Recovery layer: atomic broadcast of versions. *)
-  let ab_channel =
-    Channel.of_hub t.env.Env.hub ~key:"ab" ~net:t.env.Env.net ~self:(me t)
-      ~f:(f_of t) ~encode:Msg.encode
-      ~inj:(fun m -> Msg.Ab m)
-      ~prj:(function Msg.Ab m -> m | _ -> assert false)
-  in
   let ab_config =
     { (Pbft.default_config ~payload_digest:Types.version_digest) with
       Pbft.max_batch = 4;
@@ -2020,14 +1992,18 @@ let start t =
   in
   t.ab <-
     Some
-      (Pbft.create engine ~recorder:(recorder t) ~channel:ab_channel
+      (Pbft.create engine ~recorder:(recorder t)
+         ~channel:
+           (channel Msg.Versions
+              ~inj:(fun m -> Msg.Ab m)
+              ~prj:(function Msg.Ab m -> m | _ -> assert false))
          ~cpu:t.env.Env.cpu ~config:ab_config
          ~deliver:(fun ~seq:_ v ->
            Mailbox.send (version_box t v.Types.recovery_round) v));
-  spawn_push_fiber t;
-  spawn_body_fiber t;
-  spawn_reply_fiber t;
-  spawn_service_fiber t;
+  serve t Msg.Pushes (serve_push t);
+  serve t Msg.Bodies (serve_body t);
+  serve t Msg.Replies (serve_reply t);
+  serve t Msg.Pulls (serve_pull t);
   (* Reconfigurable clusters (partial genesis membership, or a
      schedule restored from disk) need the state-transfer/handoff
      fibers; fully static clusters skip them entirely. *)
@@ -2078,8 +2054,6 @@ let start t =
       end;
       main_loop t)
 
-let stop t = t.stopped <- true
-
 (* Synchronous teardown for cold restarts: the node's inbox is about
    to be replaced, so message-based [stop]s would never arrive. Parks
    every consensus component; orphaned service fibers stay blocked on
@@ -2103,17 +2077,13 @@ let inflight_client_txs t =
     t.pool_txs []
 let round t = t.round
 let definite_upto t = t.definite_upto
-let recoveries t = Fl_metrics.Recorder.counter (recorder t) "recoveries"
 let era t = t.era
-let persist t = t.persist
 let active_epoch t = t.active_epoch
 let epochs_scheduled t = List.length t.epochs - 1
 let is_member t = Epoch.is_member (epoch_at t t.round) (me t)
 
 let submit_reconfig t change =
   ignore (Mempool.admit t.mempool (Epoch.reconfig_tx change) ~fee:max_int)
-
-let evidence t = Hashtbl.fold (fun _ ev acc -> ev :: acc) t.evidence_log []
 
 let accused t =
   let s = Hashtbl.create 4 in

@@ -85,9 +85,6 @@ val start : t -> unit
 (** Spawn the instance's fibers (main loop, dissemination and service
     fibers, RB and AB endpoints). *)
 
-val stop : t -> unit
-(** Stop proposing/advancing after the current round. *)
-
 val shutdown : t -> unit
 (** Synchronous teardown for cold restarts: stops the instance AND its
     consensus components (OBBCs, RB, AB) directly, without relying on
@@ -106,14 +103,9 @@ val inflight_client_txs : t -> (Tx.t * int) list
 
 val round : t -> int
 val definite_upto : t -> int
-val recoveries : t -> int
-
 val era : t -> int
 (** Completed recoveries at this instance — advances exactly once per
     executed recovery (it keys post-recovery OBBC instances). *)
-
-val persist : t -> Fl_persist.Node.t option
-(** The durability layer this instance logs to, if any. *)
 
 val active_epoch : t -> Epoch.t
 (** The epoch governing the current round. *)
@@ -127,10 +119,6 @@ val is_member : t -> bool
 val submit_reconfig : t -> Epoch.change -> unit
 (** Admit a reconfiguration transaction into this node's mempool at
     maximal fee priority — it rides the chain like any client tx. *)
-
-val evidence : t -> Types.evidence list
-(** Every distinct equivocation-evidence object collected so far
-    (detected locally or delivered by the evidence RB channel). *)
 
 val accused : t -> int list
 (** Sorted, deduplicated proposers this node holds valid evidence

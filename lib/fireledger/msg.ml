@@ -42,29 +42,33 @@ type t =
 and ob_payload = Types.proposal
 (** OBBC piggyback: the next round's proposal (§5.1). *)
 
-(* Channel keys are computed on every dispatched message; [ob_key]
-   avoids [Printf.sprintf]'s format interpretation — plain
-   [string_of_int] plus [(^)] is direct allocation. Measured in
-   bench/main.ml's codec/ob-key-* kernels: ~285 ns vs ~320 ns per
-   call. The win is modest (allocation, not format parsing, dominates
-   at this string size) but the key is built on every OBBC dispatch
-   and the concat form is no less readable. *)
-let ob_key ~era ~round ~attempt =
-  "ob:" ^ string_of_int era ^ ":" ^ string_of_int round ^ ":"
-  ^ string_of_int attempt
+(* The hub channel of each message: one per service, plus one per
+   OBBC instance (era, round, delivery attempt). *)
+type chan =
+  | Bodies
+  | Pushes
+  | Obbc of { era : int; round : int; attempt : int }
+  | Pulls
+  | Replies
+  | Proofs
+  | Versions
+  | Evidence
+  | Snap_requests
+  | Snap_chunks
+  | Handoffs
 
-let key = function
-  | Body _ -> "body"
-  | Push _ -> "push"
-  | Ob { era; round; attempt; _ } -> ob_key ~era ~round ~attempt
-  | Req _ -> "svc"
-  | Reply _ -> "reply"
-  | Rb _ -> "rb"
-  | Ab _ -> "ab"
-  | Evd _ -> "evd"
-  | Snap_req _ -> "snapreq"
-  | Snap_chunk _ -> "snap"
-  | Tx_handoff _ -> "handoff"
+let chan = function
+  | Body _ -> Bodies
+  | Push _ -> Pushes
+  | Ob { era; round; attempt; _ } -> Obbc { era; round; attempt }
+  | Req _ -> Pulls
+  | Reply _ -> Replies
+  | Rb _ -> Proofs
+  | Ab _ -> Versions
+  | Evd _ -> Evidence
+  | Snap_req _ -> Snap_requests
+  | Snap_chunk _ -> Snap_chunks
+  | Tx_handoff _ -> Handoffs
 
 (* One codec from protocol structs to NIC bytes: every constructor is
    an envelope tag; sub-protocol messages (OBBC, Bracha, PBFT) are

@@ -1,5 +1,10 @@
 open Fl_sim
 
+(* N of the §6.1.1 EMA, and the slack that puts the timeout above the
+   average proposal delay: timeout = slack × EMA(delay). *)
+let ema_n = 10
+let slack = 4.0
+
 type t = {
   config : Config.t;
   mutable ema : float;          (* smoothed proposal delay, ns *)
@@ -19,10 +24,10 @@ let current t =
   | Some b -> b
   | None ->
       clamp t.config
-        (int_of_float (t.ema *. t.config.Config.timer_slack))
+        (int_of_float (t.ema *. slack))
 
 let on_success t ~delay =
-  let alpha = 2.0 /. float_of_int (t.config.Config.timer_ema_n + 1) in
+  let alpha = 2.0 /. float_of_int (ema_n + 1) in
   let next = (alpha *. float_of_int delay) +. ((1.0 -. alpha) *. t.prev_ema) in
   t.prev_ema <- t.ema;
   t.ema <- next;

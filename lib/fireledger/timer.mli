@@ -1,9 +1,9 @@
 (** WRB timeout tuning (§6.1.1).
 
     The WRB delivery timer adapts to observed proposal delays with the
-    paper's exponential moving average over the last N rounds:
+    paper's exponential moving average over the last N = 10 rounds:
     timer_r = (2/(N+1))·d_{r−1} + timer_{r−2}·(1 − 2/(N+1)), scaled by
-    a slack factor so the timeout sits above the average delay. A
+    a slack factor of 4 so the timeout sits above the average delay. A
     timed-out round doubles the timer (Algorithm 1, line 14) so
     liveness under ♦Synch does not depend on the tuning model. *)
 

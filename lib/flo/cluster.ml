@@ -85,17 +85,8 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
     Array.init n (fun i ->
         Array.init workers (fun w ->
             let hub =
-              Hub.create engine ~inbox:(Net.inbox nets.(w) i)
-                ~decode:Msg.decode
-                ~on_malformed:(fun ~src ~bytes ->
-                  Fl_metrics.Recorder.incr recorder "decode_errors";
-                  Fl_obs.Obs.instant obs ~cat:"net" ~name:"decode_error"
-                    ~node:i ~worker:w
-                    ~args:
-                      [ ("src", string_of_int src);
-                        ("bytes", string_of_int bytes) ]
-                    ~at:(Engine.now engine) ())
-                ~key:Msg.key ()
+              Env.hub engine ~recorder ~obs ~node:i ~worker:w
+                (Net.inbox nets.(w) i)
             in
             let env =
               { Env.engine;

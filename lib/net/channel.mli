@@ -26,8 +26,8 @@ type 'a t = {
 val of_hub :
   ?n:int ->
   ?accept:(int -> bool) ->
-  'w Hub.t ->
-  key:string ->
+  ('k, 'w) Hub.t ->
+  key:'k ->
   net:Net.t ->
   self:int ->
   f:int ->

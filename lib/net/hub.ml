@@ -1,11 +1,11 @@
 open Fl_sim
 
-type 'm t = {
+type ('k, 'm) t = {
   engine : Engine.t;
-  key : 'm -> string;
+  key : 'm -> 'k;
   decode : string -> 'm option;
   on_malformed : (src:int -> bytes:int -> unit) option;
-  boxes : (string, (int * 'm) Mailbox.t) Hashtbl.t;
+  boxes : ('k, (int * 'm) Mailbox.t) Hashtbl.t;
   mutable malformed : int;
 }
 

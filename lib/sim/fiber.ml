@@ -22,5 +22,4 @@ let sleep engine d =
   suspend (fun resume ->
       ignore (Engine.schedule engine ~delay:d (fun () -> resume ())))
 
-let yield engine = sleep engine 0
 let never () = suspend (fun _resume -> ())

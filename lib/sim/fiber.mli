@@ -22,8 +22,5 @@ val suspend : (('a -> unit) -> unit) -> 'a
 val sleep : Engine.t -> Time.t -> unit
 (** Block for the given duration of virtual time. *)
 
-val yield : Engine.t -> unit
-(** Reschedule at the current instant, after already-queued events. *)
-
 val never : unit -> 'a
 (** Park the calling fiber forever. *)

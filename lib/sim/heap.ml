@@ -65,7 +65,3 @@ let pop t =
     end;
     Some top
   end
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0

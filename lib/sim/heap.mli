@@ -11,4 +11,3 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
-val clear : 'a t -> unit

@@ -82,6 +82,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let bytes t len =
-  String.init len (fun _ -> Char.chr (int t 256))

@@ -47,6 +47,3 @@ val lognormal : t -> mu:float -> sigma:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val bytes : t -> int -> string
-(** Random payload of the given length. *)

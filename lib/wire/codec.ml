@@ -213,16 +213,23 @@ module Reader = struct
     lor (Char.code (String.unsafe_get d (p + 2)) lsl 16)
     lor (Char.code (String.unsafe_get d (p + 3)) lsl 24)
 
+  (* [u64] and [varint] accept exactly the writers' output, so a
+     decoded value re-encodes to the bytes it came from. Anything else
+     raises [Underflow], the rejection every decoder already maps. *)
   let u64 t =
     let lo = u32 t in
-    lo lor (u32 t lsl 32)
+    let hi = u32 t in
+    if hi >= 0x8000_0000 then raise Underflow;
+    lo lor (hi lsl 32)
 
   let varint t =
     let rec go shift acc =
       if shift > 62 then raise Underflow;
       let b = u8 t in
       let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
+      if b land 0x80 <> 0 then go (shift + 7) acc
+      else if (b = 0 && shift > 0) || acc < 0 then raise Underflow
+      else acc
     in
     go 0 0
 

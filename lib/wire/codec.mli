@@ -128,7 +128,14 @@ module Reader : sig
   val u16 : t -> int
   val u32 : t -> int
   val u64 : t -> int
+  (** Inverse of {!Writer.u64}; raises {!Underflow} on a high word with
+      its top bit set, which no int encodes to. *)
+
   val varint : t -> int
+  (** Inverse of {!Writer.varint}; raises {!Underflow} on a non-minimal
+      encoding or a negative value, so it accepts exactly the writer's
+      output. *)
+
   val bytes : t -> string
   val raw : t -> int -> string
 

@@ -115,8 +115,7 @@ let gen_bracha =
     oneof
       [ body (fun ~origin ~tag ~payload -> Send { origin; tag; payload });
         body (fun ~origin ~tag ~payload -> Echo { origin; tag; payload });
-        body (fun ~origin ~tag ~payload -> Ready { origin; tag; payload });
-        return Stop ])
+        body (fun ~origin ~tag ~payload -> Ready { origin; tag; payload }) ])
 
 let gen_prepared_entry =
   QCheck.Gen.(
@@ -425,12 +424,22 @@ let prop_wal_record_roundtrip =
 (* Every [decode] is total over strings: random bytes and adversarial
    mutations must come back as [None]/[Error] — any escaped exception
    (in particular [Invalid_argument] from an unchecked allocation)
-   fails the property. *)
+   fails the property. The standalone signed header is the one layout
+   with no magic and no CRC (it is the OBBC evidence payload, carried
+   inside a CRC-sealed frame), so random bytes can spell a well-formed
+   one: it may decode, but only to the header whose encoding is exactly
+   those bytes, and never to one whose signature checks. *)
 let decoders : (string * (string -> bool)) list =
   [ ("msg", fun s -> Msg.decode s = None);
     ("block", fun s -> Result.is_error (Serial.block_of_string s));
     ("chain", fun s -> Result.is_error (Serial.decode_chain s));
-    ("signed-header", fun s -> Types.decode_signed_header s = None);
+    ( "signed-header",
+      fun s ->
+        match Types.decode_signed_header s with
+        | None -> true
+        | Some sh ->
+            String.equal (Types.encode_signed_header sh) s
+            && not (Types.signed_header_valid registry sh) );
     ("wal-record", fun s -> Result.is_error (Fl_persist.Wal.decode_record s));
     ("snapshot", fun s -> Result.is_error (Fl_persist.Snapshot.restore [ s ])) ]
 
@@ -446,6 +455,25 @@ let prop_random_bytes_rejected =
             QCheck.Test.fail_reportf "%s decoder raised %s" name
               (Printexc.to_string e))
         decoders)
+
+(* The string the property above once shrank to: an 88-byte header
+   and a 54-byte signature, each behind its one-byte length. It decodes
+   to its own unsigned reading; spelled with the round's top bit set
+   (which a u64 field cannot carry) or a non-minimal length varint, the
+   same header must not decode at all. *)
+let test_random_signed_header () =
+  let s = "X" ^ String.make 88 'a' ^ "6" ^ String.make 54 'a' in
+  Alcotest.(check bool) "decodes" true (Types.decode_signed_header s <> None);
+  List.iter
+    (fun (name, ok) ->
+      if not (ok s) then Alcotest.failf "%s decoder accepted it" name)
+    decoders;
+  let top_bit = Bytes.of_string s in
+  Bytes.set top_bit 8 '\xe1';
+  Alcotest.(check bool) "u64 top bit rejected" true
+    (Types.decode_signed_header (Bytes.to_string top_bit) = None);
+  Alcotest.(check bool) "non-minimal varint rejected" true
+    (Types.decode_signed_header ("\xd8\x00" ^ String.sub s 1 143) = None)
 
 let test_overflowing_count_rejected () =
   (* Regression: a 9-byte varint whose top bits overflow the 63-bit
@@ -558,7 +586,7 @@ let test_nic_charges_encoding_length () =
      (sender NIC, per-link ledger, per-node totals) to agree with
      [String.length (Msg.encode m)] exactly. *)
   let w =
-    World.make ~seed:97 ~n:2 ~key:Msg.key ~encode:Msg.encode
+    World.make ~seed:97 ~n:2 ~key:Msg.chan ~encode:Msg.encode
       ~decode:Msg.decode ()
   in
   let txs = Array.init 4 (fun i -> Tx.create ~id:i ~size:512) in
@@ -595,6 +623,82 @@ let test_nic_charges_encoding_length () =
   Alcotest.(check int) "all delivered" (List.length msgs)
     (Fl_net.Net.messages_delivered w.World.net)
 
+(* Hub routing, through the hub every cluster builds for a worker:
+   each frame reaches the mailbox of its [Msg.chan] and no other, OBBC
+   instances that differ in any one of era, round and attempt get
+   channels of their own, and a corrupted frame is one decode error. *)
+let test_hub_routes_by_chan () =
+  let engine = Fl_sim.Engine.create () in
+  let recorder = Fl_metrics.Recorder.create () in
+  let inbox = Fl_sim.Mailbox.create engine in
+  let hub =
+    Fl_fireledger.Env.hub engine ~recorder ~obs:None ~node:0 ~worker:0 inbox
+  in
+  let txs = Array.init 2 (fun i -> Tx.create ~id:i ~size:64) in
+  let header round =
+    (Block.create ~round ~proposer:1 ~prev_hash:Block.genesis_hash txs)
+      .Block.header
+  in
+  let sh = Types.sign_header registry ~signer:1 (header 3) in
+  let sh' = Types.sign_header registry ~signer:1 (header 4) in
+  let proposal = { Types.sh; body = None } in
+  let ob era round attempt =
+    Msg.Ob
+      { era;
+        round;
+        attempt;
+        m = Fl_consensus.Obbc.Vote { value = true; pgd = None } }
+  in
+  let msgs =
+    [ Msg.Body { body_hash = sh.Types.header.Header.body_hash; txs; ttl = 0 };
+      Msg.Push { proposal };
+      ob 0 3 0;
+      ob 1 3 0;
+      ob 0 4 0;
+      ob 0 3 1;
+      Msg.Req { round = 3 };
+      Msg.Reply { round = 3; proposal; txs };
+      Msg.Rb
+        (Fl_broadcast.Bracha.Send
+           { origin = 1; tag = 0; payload = { Types.later = sh'; earlier = sh } });
+      Msg.Ab
+        (Fl_consensus.Pbft.Prepare
+           { view = 0; seq = 1; digest = Fl_crypto.Sha256.digest "v" });
+      Msg.Evd
+        (Fl_broadcast.Bracha.Send
+           { origin = 1;
+             tag = 0;
+             payload = Types.make_evidence ~accused:1 sh sh' });
+      Msg.Snap_req { from_chunk = 0 };
+      Msg.Snap_chunk
+        { sid = 1; seq = 0; total = 1; data = Codec.Slice.of_string "chunk" };
+      Msg.Tx_handoff { txs; fees = [| 5; 6 |] } ]
+  in
+  let chans = List.map Msg.chan msgs in
+  Alcotest.(check int) "every message has its own channel"
+    (List.length msgs)
+    (List.length (List.sort_uniq compare chans));
+  List.iter (fun m -> Fl_sim.Mailbox.send inbox (1, Msg.encode m)) msgs;
+  Fl_sim.Mailbox.send inbox (2, flip (Msg.encode (List.hd msgs)) 10);
+  Fl_sim.Engine.run engine;
+  Alcotest.(check int) "no stray channel" (List.length msgs)
+    (Fl_net.Hub.channels hub);
+  List.iter2
+    (fun m chan ->
+      let box = Fl_net.Hub.box hub chan in
+      Alcotest.(check int) "one frame per channel" 1
+        (Fl_sim.Mailbox.length box);
+      match Fl_sim.Mailbox.try_recv box with
+      | Some (src, m') ->
+          Alcotest.(check int) "source" 1 src;
+          Alcotest.(check string) "the frame sent" (Msg.encode m)
+            (Msg.encode m')
+      | None -> Alcotest.fail "empty channel")
+    msgs chans;
+  Alcotest.(check int) "one decode error" 1
+    (Fl_metrics.Recorder.counter recorder "decode_errors");
+  Alcotest.(check int) "hub counted it" 1 (Fl_net.Hub.malformed hub)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_tx_roundtrip;
     QCheck_alcotest.to_alcotest prop_txs_roundtrip;
@@ -618,6 +722,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_msg_size_is_wire_length;
     QCheck_alcotest.to_alcotest prop_wal_record_roundtrip;
     QCheck_alcotest.to_alcotest prop_random_bytes_rejected;
+    Alcotest.test_case "random bytes spelling a signed header" `Quick
+      test_random_signed_header;
     Alcotest.test_case "overflowing sequence count rejected" `Quick
       test_overflowing_count_rejected;
     QCheck_alcotest.to_alcotest prop_bitflip_rejected;
@@ -626,4 +732,6 @@ let suite =
     Alcotest.test_case "snapshot roundtrip + corruption" `Quick
       test_snapshot_roundtrip;
     Alcotest.test_case "nic charges encoding length" `Quick
-      test_nic_charges_encoding_length ]
+      test_nic_charges_encoding_length;
+    Alcotest.test_case "hub routes every message to its channel" `Quick
+      test_hub_routes_by_chan ]

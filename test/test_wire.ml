@@ -23,7 +23,18 @@ let test_underflow () =
   let r = Codec.Reader.of_string "\x01" in
   ignore (Codec.Reader.u8 r);
   Alcotest.check_raises "underflow" Codec.Reader.Underflow (fun () ->
-      ignore (Codec.Reader.u8 r))
+      ignore (Codec.Reader.u8 r));
+  (* Spellings no writer produces are rejected the same way: a u64
+     high word with its top bit set, a non-minimal varint, and a
+     9-byte varint that overflows into the sign. *)
+  List.iter
+    (fun (name, read, s) ->
+      Alcotest.check_raises name Codec.Reader.Underflow (fun () ->
+          ignore (read (Codec.Reader.of_string s))))
+    [ ("u64 top bit", Codec.Reader.u64, String.make 7 '\x00' ^ "\x80");
+      ("non-minimal varint", Codec.Reader.varint, "\x80\x00");
+      ("negative varint", Codec.Reader.varint, String.make 8 '\xff' ^ "\x7f")
+    ]
 
 let test_varint_size () =
   List.iter

@@ -10,14 +10,14 @@
 open Fl_sim
 open Fl_net
 
-type 'm t = {
+type ('k, 'm) t = {
   engine : Engine.t;
   rng : Rng.t;
   recorder : Fl_metrics.Recorder.t;
   nics : Nic.t array;
   net : Net.t;
-  hubs : 'm Hub.t option array;
-  hub_key : 'm -> string;
+  hubs : ('k, 'm) Hub.t option array;
+  hub_key : 'm -> 'k;
   encode : 'm -> string;
   decode : string -> 'm option;
   cpus : Cpu.t array;
