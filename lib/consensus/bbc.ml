@@ -22,7 +22,7 @@ let write_msg w = function
   | Decide v ->
       Codec.Writer.u8 w 2;
       Codec.Writer.bool w v
-  | Stop -> Codec.Writer.u8 w 3
+  | Stop -> invalid_arg "Bbc.write_msg: Stop is local control"
 
 let read_msg r =
   match Codec.Reader.u8 r with
@@ -35,7 +35,6 @@ let read_msg r =
       let value = Codec.Reader.bool r in
       Aux { round; value }
   | 2 -> Decide (Codec.Reader.bool r)
-  | 3 -> Stop
   | t -> raise (Codec.Malformed (Printf.sprintf "bbc: tag %d" t))
 
 (* Per-instance state. Tables are keyed by (round, value); the sender

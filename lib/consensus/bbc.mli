@@ -24,15 +24,20 @@ type msg =
   | Est of { round : int; value : bool }
   | Aux of { round : int; value : bool }
   | Decide of bool
-  | Stop  (** local control: tear the instance down; never on wire *)
+  | Stop
+      (** local control: tear the instance down. It only ever enters
+          the local mailbox and has no wire encoding, so no peer can
+          send it. *)
 
 val write_msg : Fl_wire.Codec.Writer.t -> msg -> unit
 (** In-body codec: BBC messages travel embedded in a carrier message
-    (OBBC's [Fallback]) whose codec owns the envelope. *)
+    (OBBC's [Fallback]) whose codec owns the envelope. Raises
+    [Invalid_argument] on [Stop]. *)
 
 val read_msg : Fl_wire.Codec.Reader.t -> msg
-(** Inverse of {!write_msg}. Raises {!Fl_wire.Codec.Malformed} on an
-    unknown tag and {!Fl_wire.Codec.Reader.Underflow} on truncation. *)
+(** Inverse of {!write_msg}; never returns [Stop]. Raises
+    {!Fl_wire.Codec.Malformed} on an unknown tag and
+    {!Fl_wire.Codec.Reader.Underflow} on truncation. *)
 
 val run :
   Engine.t ->

@@ -130,10 +130,11 @@ let settle_decision t v =
 
 let handle t (src, msg) =
   match msg with
-  | Close ->
+  | Close when src = t.channel.Channel.self ->
       t.closed <- true;
       t.channel.Channel.close ();
       Mailbox.send t.bbc_box (t.channel.Channel.self, Bbc.Stop)
+  | Close -> ()  (* a peer cannot tear down our instance *)
   | Vote { value; pgd } ->
       (match pgd with
       | Some p when not (Hashtbl.mem t.pgd_seen src) ->

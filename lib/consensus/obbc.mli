@@ -26,7 +26,9 @@ type 'p msg =
           from (zero-copy) — validated in place, copied only on
           retention *)
   | Fallback of Bbc.msg
-  | Close  (** local control: tear the instance down; never on wire *)
+  | Close
+      (** tear the instance down: self-sent by {!close} through the
+          transport, and obeyed only when it comes from this node *)
 
 val write_msg :
   (Fl_wire.Codec.Writer.t -> 'p -> unit) ->

@@ -18,7 +18,6 @@ type 'a msg =
       vcs : (int * (int * (int * int * string * 'a list) list)) list;
           (* (sender, (last_exec, prepared)) *)
     }
-  | Stop
 
 (* In-body codec, parameterized over the payload codec; the carrier
    protocol (recovery's [Rb]/[Ab] or the baseline cluster) owns the
@@ -77,7 +76,6 @@ let write_msg write_payload w = function
           Codec.Writer.varint w last_exec;
           write_list (write_prepared write_payload) w prepared)
         w vcs
-  | Stop -> Codec.Writer.u8 w 6
 
 let read_msg read_payload r =
   match Codec.Reader.u8 r with
@@ -114,7 +112,6 @@ let read_msg read_payload r =
           r
       in
       New_view { view; vcs }
-  | 6 -> Stop
   | t -> raise (Codec.Malformed (Printf.sprintf "pbft: tag %d" t))
 
 type 'a config = {
@@ -386,7 +383,6 @@ let valid_new_view t vcs =
 
 let handle t (src, msg) =
   match msg with
-  | Stop -> t.stopped <- true
   | Submit payload ->
       if is_leader t then begin
         Queue.push payload t.pending;
@@ -527,14 +523,10 @@ let submit t payload =
   forward_to_leader t payload;
   if is_leader t then try_propose t
 
-let stop t =
-  if not t.stopped then
-    t.channel.Channel.send ~dst:t.channel.Channel.self Stop
-
-(* Synchronous stop for teardown paths where the self-send of [stop]
-   would never be delivered (e.g. the node's inbox was just replaced
-   by a cold restart). The dispatcher and watchdog fibers observe the
-   flag on their next wake-up and exit. *)
+(* Teardown sets a flag rather than self-sending a control message:
+   no wire message can stop a replica, and the flag works even after
+   the node's inbox was replaced by a cold restart. The dispatcher and
+   watchdog fibers observe it on their next wake-up and exit. *)
 let halt t = t.stopped <- true
 
 let view t = t.view

@@ -44,7 +44,6 @@ type 'a msg =
       view : int;
       vcs : (int * (int * (int * int * string * 'a list) list)) list;
     }
-  | Stop  (** local control; never on wire *)
 (** Exposed so tests and Byzantine adversaries can inject raw protocol
     traffic (e.g. an equivocating PRE-PREPARE). *)
 
@@ -92,13 +91,10 @@ val submit : 'a t -> 'a -> unit
 (** Hand a payload to the replication service (forwarded to the
     current leader; re-forwarded after view changes). *)
 
-val stop : 'a t -> unit
-(** Tear the replica down (end of experiment). *)
-
 val halt : 'a t -> unit
-(** Synchronous teardown: set the stop flag directly instead of
-    self-sending [Stop]. Needed when the node's inbox has already been
-    replaced (cold restart) so a message-based stop would never
-    arrive. Fibers exit on their next wake-up. *)
+(** Tear the replica down: set its stop flag. There is no stop
+    message, so no peer can halt a replica, and teardown works after
+    the node's inbox was replaced (cold restart). Fibers exit on their
+    next wake-up. *)
 
 val view : 'a t -> int

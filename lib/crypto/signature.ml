@@ -1,8 +1,6 @@
 type registry = { secret_keys : string array }
 type signature = string
 
-let signature_size = Sha256.digest_size
-
 let create_registry ~seed ~n =
   if n <= 0 then invalid_arg "Signature.create_registry: n must be positive";
   let secret_keys =

@@ -35,3 +35,5 @@ let add t ~bh txs ~at =
   end
 
 let remove = Hashtbl.remove
+
+let bytes txs = Array.fold_left (fun acc tx -> acc + tx.Tx.size) 0 txs

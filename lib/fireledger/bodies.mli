@@ -15,9 +15,6 @@ type t
 
 val create : unit -> t
 
-val empty_hash : string
-(** [Block.body_hash [||]]. *)
-
 val find : t -> string -> Tx.t array option
 (** The body stored under a hash. The empty body is synthesised rather
     than looked up: every empty block commits to the same hash, so a
@@ -40,3 +37,6 @@ val add : t -> bh:string -> Tx.t array -> at:Fl_sim.Time.t -> bool
     place, when [bh] is already stored. *)
 
 val remove : t -> string -> unit
+
+val bytes : Tx.t array -> int
+(** Total transaction bytes of a body (a header's [body_size]). *)

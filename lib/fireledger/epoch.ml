@@ -26,6 +26,12 @@ let members t = t.members
 let n t = Array.length t.members
 let f t = (Array.length t.members - 1) / 3
 
+(* Full-universe epochs use the configured (n, f) verbatim (a config
+   may pin a non-default f); partial epochs re-derive them from the
+   member count, never exceeding the configured Byzantine budget. *)
+let quorum t ~universe ~budget =
+  if n t = universe then (universe, budget) else (n t, min budget (f t))
+
 let is_member t id =
   (* members are tiny (<= universe size); linear scan is fine *)
   Array.exists (fun m -> m = id) t.members

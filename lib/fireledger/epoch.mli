@@ -26,21 +26,18 @@ val n : t -> int
 val f : t -> int
 (** [(n - 1) / 3] of the active member count. *)
 
+val quorum : t -> universe:int -> budget:int -> int * int
+(** The (n, f) an epoch's quorums count against: the configured
+    [(universe, budget)] for a full-universe epoch, else the member
+    count and [min budget (f t)]. *)
+
 val is_member : t -> int -> bool
 val pp : Format.formatter -> t -> unit
-
-val apply_change :
-  universe:int -> int array -> change -> (int array, string) result
-(** Validate and apply one change to a member set. Rejections are
-    soft: every correct node ignores the same invalid change. *)
 
 val succeed : universe:int -> t -> change list -> activation:int -> t option
 (** Fold a decided block's changes over [t]'s members (skipping
     invalid ones) and build the successor epoch, or [None] if the
     membership is unchanged. *)
-
-val encode_change : change -> string
-(** Payload framing: magic + version + kind + varint node id. *)
 
 val change_of_payload : string -> change option
 (** O(1) rejection of ordinary payloads (magic prefix check);
@@ -48,7 +45,7 @@ val change_of_payload : string -> change option
 
 val reconfig_tx : change -> Fl_chain.Tx.t
 (** Wrap a change as an ordinary transaction (deterministic id in a
-    reserved range, payload = {!encode_change}). *)
+    reserved range; payload: magic, version, kind, varint node id). *)
 
 val changes_of_block : Fl_chain.Block.t -> change list
 (** All reconfiguration changes carried by a block, in tx order. *)

@@ -1,7 +1,5 @@
 open Fl_sim
-open Fl_net
 open Fl_chain
-open Fl_consensus
 
 type behavior = Honest | Equivocator
 
@@ -40,28 +38,8 @@ type t = {
   timer : Timer.t;
   detector : Detector.t;
   rotation : Rotation.t;
-  (* dissemination state *)
   bodies : Bodies.t;
-  stash : (int, Types.proposal * Time.t) Hashtbl.t;  (* per proposer *)
-  fetched : (int, Types.signed_header * Tx.t array) Hashtbl.t;
-      (* pull replies keyed by round — feeds the catch-up sync *)
   signed_headers : (int, Types.signed_header) Hashtbl.t;  (* per round *)
-  my_signed : (int * string, Types.signed_header * Tx.t array) Hashtbl.t;
-      (* every header this node ever signed, keyed by
-         (round, prev_hash): the no-double-sign discipline that makes
-         same-slot conflicts provable misbehavior *)
-  evidence_log : (string, Types.evidence) Hashtbl.t;  (* by digest *)
-  mutable pulse : unit Ivar.t;  (* wakes WRB waits on any arrival *)
-  prepared : (Tx.t array * string * Time.t) Queue.t;
-      (* bodies built (and shipped) ahead of our proposing turns; the
-         head is the next block we will propose *)
-  own_in_flight : (string, unit) Hashtbl.t;  (* flow control (§7.2) *)
-  pool_txs : (string, (Tx.t * int) array) Hashtbl.t;
-      (* body_hash -> the client (mempool-drained) transactions in a
-         body we built, with their fees, kept until the block is
-         definite: a recovery that rescinds one of our blocks re-queues
-         exactly these so an admitted transaction never vanishes
-         silently *)
   (* round state *)
   mutable round : int;
   mutable attempt : int;
@@ -69,20 +47,8 @@ type t = {
   mutable proposer : int;
   mutable full_mode : bool;
   mutable definite_upto : int;
-  open_obbcs : (int * int * int, Msg.ob_payload Obbc.t) Hashtbl.t;
   times : (int, pending_times) Hashtbl.t;
-  (* panic and recovery *)
-  mutable abort : unit Ivar.t;
-  mutable pending_proofs : Types.proof list;
-  handled_recoveries : (int, unit) Hashtbl.t;
-  version_boxes : (int, Types.version Mailbox.t) Hashtbl.t;
-  mutable rb : Types.proof Fl_broadcast.Bracha.t option;
-  mutable ab : Types.version Pbft.t option;
-  mutable evd : Types.evidence Fl_broadcast.Bracha.t option;
-  mutable rb_tag : int;
-  mutable evd_tag : int;
-  (* workload *)
-  mutable next_tx_id : int;
+  mutable abort : unit Ivar.t;  (* aborts the main loop's current wait *)
   halves : int list * int list;  (* equivocation split *)
   mutable stopped : bool;
   (* membership epochs *)
@@ -90,25 +56,33 @@ type t = {
   mutable epochs : Epoch.t list;  (* newest (highest activation) first *)
   mutable active_epoch : Epoch.t;  (* the epoch governing [round] *)
   mutable was_member : bool;  (* ever inside the active membership *)
-  mutable handoff_done : bool;  (* leaver's one-shot mempool handoff *)
-  mutable reconfig_fibers : bool;  (* snap/handoff fibers spawned *)
-  mutable wedged : bool;
-      (* watchdog verdict: parked in a round whose consensus the
-         cluster already completed — pull the block instead *)
-  segments : Fl_persist.Snapshot.log;
-      (* sealed definite segments served to joiners — used only when
-         no persistence node holds them *)
   (* durability *)
   persist : Fl_persist.Node.t option;
   mutable boot_delay : Time.t;
       (* time the boot path spends reading the media back (disk scan +
          per-block hashing); charged before the main loop starts *)
+  (* the algorithm modules *)
+  acc : Accountability.t;
+  wrb : Wrb.t;
+  sync : Sync.t;
+  panic : Panic.t;
+  transfer : Transfer.t;
 }
 
 (* ---------- small helpers ---------- *)
 
 let n_of t = t.config.Config.n
 let f_of t = t.config.Config.f
+let me t = t.env.Env.me
+let engine t = t.env.Env.engine
+let recorder t = t.env.Env.recorder
+let now t = Env.now t.env
+
+(* The stored block of round [r] with its signed header. *)
+let appended t r =
+  match (Store.get t.store r, Hashtbl.find_opt t.signed_headers r) with
+  | Some b, Some sh -> Some (b, sh)
+  | _ -> None
 
 (* ---------- membership epochs ---------- *)
 
@@ -122,59 +96,13 @@ let epoch_at t round =
   in
   go t.epochs
 
-(* Epochs are scheduled from definite blocks with a fixed lag of
-   f + 3 rounds, one past the definiteness horizon (f + 2) — so the
-   local schedule is provably complete for every round at or below
-   this bound, and incomplete knowledge is only possible beyond it. *)
-let membership_known t ~round = round <= t.definite_upto + f_of t + 3
-
-let is_member_at t ~round id = Epoch.is_member (epoch_at t round) id
-
-(* Quorum parameters of an epoch. Full-universe epochs use the
-   configured (n, f) verbatim (a config may pin a non-default f);
-   partial epochs re-derive them from the member count, never
-   exceeding the configured Byzantine budget. *)
-let epoch_quorum_params t e =
-  if Epoch.n e = n_of t then (n_of t, f_of t)
-  else (Epoch.n e, min (f_of t) (Epoch.f e))
-
-let me t = t.env.Env.me
-let engine t = t.env.Env.engine
-let recorder t = t.env.Env.recorder
-let now t = Engine.now (engine t)
-let incr_c t name = Fl_metrics.Recorder.incr (recorder t) name
-
-let obs_span t ~name ?round ?args ~t_begin ~t_end () =
-  Fl_obs.Obs.span t.env.Env.obs ~cat:"fireledger" ~name ~node:(me t)
-    ~worker:t.env.Env.worker ?round ?args ~t_begin ~t_end ()
-
-let obs_instant t ~name ?round ?args () =
-  Fl_obs.Obs.instant t.env.Env.obs ~cat:"fireledger" ~name ~node:(me t)
-    ~worker:t.env.Env.worker ?round ?args ~at:(now t) ()
-
-let charge_hash t ~bytes =
-  Cpu.charge t.env.Env.cpu
-    (Fl_crypto.Cost_model.hash_cost t.env.Env.cost ~bytes)
-
-let charge_sign t =
-  Cpu.charge t.env.Env.cpu
-    (int_of_float t.env.Env.cost.Fl_crypto.Cost_model.sign_const_ns)
-
-let charge_verify t =
-  Cpu.charge t.env.Env.cpu
-    (int_of_float t.env.Env.cost.Fl_crypto.Cost_model.verify_const_ns)
-
-let body_bytes txs = Array.fold_left (fun acc tx -> acc + tx.Tx.size) 0 txs
-
-let send t ~dst m =
-  Net.send t.env.Env.net ~src:(me t) ~dst (Msg.encode m)
-
-let bcast t m = Net.broadcast t.env.Env.net ~src:(me t) (Msg.encode m)
-
-let multicast t ~dsts m =
-  Net.multicast t.env.Env.net ~src:(me t) ~dsts (Msg.encode m)
-
-let pulse_fill t = ignore (Ivar.try_fill t.pulse ())
+(* May [id] take part in [round]? Epochs are scheduled from definite
+   blocks with a fixed lag of f + 3 rounds, one past the definiteness
+   horizon (f + 2) — so the local schedule is provably complete for
+   every round at or below this bound, and incomplete knowledge is only
+   possible beyond it, where a node is admitted charitably. *)
+let admits t ~round id =
+  round > t.definite_upto + f_of t + 3 || Epoch.is_member (epoch_at t round) id
 
 (* Last [count] proposers of the stored chain, oldest first. *)
 let recent_proposers t count =
@@ -203,6 +131,13 @@ let reseat_proposer t =
   in
   t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent candidate
 
+(* Resume rounds after a chain this node did not decide round by
+   round: a fresh attempt in full mode, from a re-seated proposer. *)
+let resume t =
+  t.full_mode <- true;
+  t.attempt <- 0;
+  reseat_proposer t
+
 (* The proposer of round r+1, assuming round r is decided by [k]:
    used for the piggyback decision (Algorithm 2, lines 12–14, with the
    b1–b3 skip rule applied predictively). *)
@@ -216,616 +151,9 @@ let predicted_next t ~k =
   Rotation.eligible t.rotation ~round:next_round ~recent
     (Rotation.successor t.rotation ~round:next_round k)
 
-(* ---------- bodies ---------- *)
-
-(* [bh], when given, must be [Block.body_hash txs]: the caller already
-   knows it (see [Bodies.received_hash]). The simulated hash is charged
-   either way. *)
-let store_body ?bh t txs ~at =
-  charge_hash t ~bytes:(body_bytes txs);
-  let bh = match bh with Some bh -> bh | None -> Block.body_hash txs in
-  if Bodies.add t.bodies ~bh txs ~at then pulse_fill t;
-  bh
-
-let synth_tx t =
-  let id = (me t * 1_000_000_007) + t.next_tx_id in
-  t.next_tx_id <- t.next_tx_id + 1;
-  Tx.create ~id ~size:t.config.Config.tx_size
-
-(* Assemble a block body: drain the mempool, pad to β with synthetic
-   transactions under the paper's full-load mode. *)
-let build_body t =
-  let prio =
-    Mempool.take_batch_prio t.mempool ~max:t.config.Config.batch_size
-  in
-  let batch = Array.map fst prio in
-  let txs =
-    if
-      t.config.Config.fill_blocks
-      && Array.length batch < t.config.Config.batch_size
-    then
-      Array.append batch
-        (Array.init
-           (t.config.Config.batch_size - Array.length batch)
-           (fun _ -> synth_tx t))
-    else batch
-  in
-  let at = now t in
-  let bh = store_body t txs ~at in
-  if Array.length prio > 0 then Hashtbl.replace t.pool_txs bh prio;
-  (txs, bh, at)
-
-(* Sample [fanout] distinct peers (never self). *)
-let gossip_peers t fanout =
-  let n = n_of t in
-  let picked = Hashtbl.create fanout in
-  let rec go acc remaining guard =
-    if remaining = 0 || guard = 0 then acc
-    else
-      let p = Rng.int t.env.Env.rng n in
-      if p = me t || Hashtbl.mem picked p then go acc remaining (guard - 1)
-      else begin
-        Hashtbl.add picked p ();
-        go (p :: acc) (remaining - 1) (guard - 1)
-      end
-  in
-  go [] (min fanout (n - 1)) (8 * n)
-
-let gossip_ttl t fanout =
-  (* enough hops for coverage w.h.p.: ceil(log_fanout n) + 1 *)
-  let n = float_of_int (n_of t) in
-  let f = float_of_int (max 2 fanout) in
-  int_of_float (ceil (log n /. log f)) + 1
-
-let send_body t txs ~bh =
-  match t.config.Config.dissemination with
-  | Config.Clique -> bcast t (Msg.Body { body_hash = bh; txs; ttl = 0 })
-  | Config.Gossip fanout ->
-      let ttl = gossip_ttl t fanout in
-      multicast t ~dsts:(gossip_peers t fanout)
-        (Msg.Body { body_hash = bh; txs; ttl = ttl - 1 })
-
-let broadcast_body t txs ~bh =
-  Hashtbl.replace t.own_in_flight bh ();
-  send_body t txs ~bh
-
-(* Pre-disseminate upcoming block bodies as soon as we expect to be
-   the next proposer (§6.1.1: "a node broadcasts a block as soon as
-   the block is ready"). With [pipeline_depth] > 1 several bodies are
-   shipped ahead, overlapping their dissemination with earlier
-   rounds — the effect §7.2.1 credits for larger clusters' tps. *)
-let pre_disseminate t =
-  while
-    Queue.length t.prepared < t.config.Config.pipeline_depth
-    && Hashtbl.length t.own_in_flight < t.config.Config.max_outstanding
-  do
-    let txs, bh, at = build_body t in
-    Queue.push (txs, bh, at) t.prepared;
-    if t.config.Config.separate_bodies then broadcast_body t txs ~bh
-  done
-
-let take_prepared t =
-  match Queue.peek_opt t.prepared with
-  | Some p -> p
-  | None ->
-      let txs, bh, at = build_body t in
-      Queue.push (txs, bh, at) t.prepared;
-      if t.config.Config.separate_bodies then broadcast_body t txs ~bh;
-      (txs, bh, at)
-
-(* Build and sign our proposal for a round on top of [prev_hash]. The
-   body is kept in [prepared] until the block is actually appended, so
-   a failed round re-proposes the same transactions. A body that fails
-   our own external-validity check (a faulty client slipped garbage
-   into the pool) is discarded — re-proposing it would make us look
-   Byzantine and waste a round per rotation. *)
-let make_proposal t ~round ~prev_hash =
-  let rec pick tries =
-    let txs, bh, at = take_prepared t in
-    let header =
-      { Header.round;
-        proposer = me t;
-        prev_hash;
-        body_hash = bh;
-        tx_count = Array.length txs;
-        body_size = body_bytes txs }
-    in
-    if tries > 0 && not (t.valid { Block.header = header; txs }) then begin
-      incr_c t "own_invalid_bodies_discarded";
-      (match Queue.peek_opt t.prepared with
-      | Some (_, bh', _) when String.equal bh' bh ->
-          ignore (Queue.pop t.prepared);
-          Hashtbl.remove t.own_in_flight bh
-      | _ -> ());
-      pick (tries - 1)
-    end
-    else (txs, bh, at, header)
-  in
-  match Hashtbl.find_opt t.my_signed (round, prev_hash) with
-  | Some (sh, txs) ->
-      (* No-double-sign discipline: we already signed this
-         (round, prev_hash) slot — e.g. a piggybacked header whose
-         round came back, or a truncated round re-run after recovery.
-         Re-serve the archived header verbatim: signing different
-         content for an already-signed slot is precisely what
-         accountability evidence convicts, so an honest node never
-         does it. *)
-      let bh = sh.Types.header.Header.body_hash in
-      let in_flow =
-        match Queue.peek_opt t.prepared with
-        | Some (_, bh', _) -> String.equal bh bh'
-        | None -> false
-      in
-      if t.config.Config.separate_bodies && not in_flow then begin
-        (* the archived body left the normal dissemination flow
-           (its block was appended then rescinded); re-disseminate *)
-        ignore (store_body t txs ~bh ~at:(now t));
-        send_body t txs ~bh
-      end;
-      let body = if t.config.Config.separate_bodies then None else Some txs in
-      { Types.sh; body }
-  | None ->
-      let txs, _bh, _at, header = pick 8 in
-      charge_sign t;
-      incr_c t "signatures";
-      let sh = Types.sign_header t.env.Env.registry ~signer:(me t) header in
-      Hashtbl.replace t.my_signed (round, prev_hash) (sh, txs);
-      let body = if t.config.Config.separate_bodies then None else Some txs in
-      { Types.sh; body }
-
-(* ---------- fork accountability ---------- *)
-
-(* Record equivocation evidence: two valid headers signed by the same
-   proposer for one (round, prev_hash) slot. Deduped by canonical
-   digest; the first local sighting is reliably broadcast so every
-   correct node converges on the same evidence set even when only a
-   subset directly observed the conflict. *)
-let note_evidence ?(relay = true) t ev =
-  if Types.evidence_valid t.env.Env.registry ev then begin
-    let digest = Types.evidence_digest ev in
-    if not (Hashtbl.mem t.evidence_log digest) then begin
-      Hashtbl.replace t.evidence_log digest ev;
-      incr_c t "evidence_collected";
-      obs_instant t ~name:"evidence"
-        ~round:ev.Types.first.Types.header.Header.round
-        ~args:[ ("accused", string_of_int ev.Types.accused) ]
-        ();
-      t.output.on_evidence ev;
-      if relay then begin
-        t.evd_tag <- t.evd_tag + 1;
-        match t.evd with
-        | Some b -> Fl_broadcast.Bracha.broadcast b ~tag:t.evd_tag ev
-        | None -> ()
-      end
-    end
-  end
-
-(* Two signed headers claiming the same slot with different content:
-   evidence if the signatures check out. [known_valid] skips
-   re-verifying a signature that was already checked on arrival. *)
-let consider_conflict ?(known_valid = false) t (sha : Types.signed_header)
-    (shb : Types.signed_header) =
-  let ha = sha.Types.header and hb = shb.Types.header in
-  if
-    ha.Header.proposer = hb.Header.proposer
-    && ha.Header.round = hb.Header.round
-    && String.equal ha.Header.prev_hash hb.Header.prev_hash
-    && not (Header.equal ha hb)
-  then begin
-    if not known_valid then begin
-      charge_verify t;
-      charge_verify t
-    end;
-    note_evidence t (Types.make_evidence ~accused:ha.Header.proposer sha shb)
-  end
-
-(* ---------- proposal stash ---------- *)
-
-let best_stash t ~k ~r =
-  match Hashtbl.find_opt t.stash k with
-  | Some (p, at) when p.Types.sh.Types.header.Header.round = r -> Some (p, at)
-  | _ -> None
-
-(* Does a stashed proposal extend our chain tip? Proposals that do are
-   delivered eagerly; a proposal that does not is held until the timer
-   expires — it is either a stale re-proposal about to be superseded
-   by a fresh one, or genuine Byzantine equivocation fallout that the
-   b4 path must see (so we cannot simply drop it). *)
-let stash_extends_tip t (p : Types.proposal) =
-  String.equal p.Types.sh.Types.header.Header.prev_hash
-    (Store.last_hash t.store)
-
-(* The full vote-1 condition for a stashed proposal: body in hand and
-   matching, external validity satisfied. Used both for voting and for
-   answering evidence requests — evidence(1) certifies "a valid
-   message was received", not merely "a signed header exists", or a
-   slow path could launder an externally-invalid block through
-   evidence adoption. *)
-let deliverable_body t (p : Types.proposal) =
-  let h = p.Types.sh.Types.header in
-  match Bodies.find t.bodies h.Header.body_hash with
-  | Some txs
-    when h.Header.tx_count = Array.length txs
-         && t.valid { Block.header = h; txs } ->
-      Some txs
-  | _ -> None
-
-let note_proposal t ~src (p : Types.proposal) =
-  ignore src;
-  (* The stash is keyed by the header's proposer, not the transport
-     sender: pull replies legitimately relay other proposers' signed
-     headers, and the signature (checked below) is the authority on
-     who authored the proposal. *)
-  let h = p.Types.sh.Types.header in
-  let owner = h.Header.proposer in
-  (* Gen-guard: a proposer outside the epoch governing the proposal's
-     round can never enter the stash (and so can never be voted on or
-     served onward). Rounds beyond the locally complete part of the
-     membership schedule are accepted charitably — a joiner catching
-     up cannot yet know the schedule, and stashed entries are still
-     quorum-gated before acceptance. *)
-  let member_ok =
-    (not (membership_known t ~round:h.Header.round))
-    || is_member_at t ~round:h.Header.round owner
-  in
-  if owner >= 0 && owner < n_of t && not member_ok then
-    incr_c t "stale_epoch_proposals_dropped";
-  if owner >= 0 && owner < n_of t && member_ok then begin
-    if h.Header.round >= t.round then begin
-      (* Accept same-round replacements: a proposer whose earlier
-         attempt was rejected re-signs its proposal on top of the block
-         that actually decided, and the fresh version must supersede the
-         stale one. *)
-      let fresh =
-        match Hashtbl.find_opt t.stash owner with
-        | Some (old, _) ->
-            let old_h = old.Types.sh.Types.header in
-            old_h.Header.round < h.Header.round
-            || (old_h.Header.round = h.Header.round
-               && not (Header.equal old_h h))
-        | None -> true
-      in
-      if fresh then begin
-        charge_verify t;
-        incr_c t "verifications";
-        if Types.signed_header_valid t.env.Env.registry p.Types.sh then begin
-          (* A replacement for the *same slot* (round and parent both
-             unchanged) is not a legitimate re-proposal — it is
-             equivocation, and both signatures are now in hand. *)
-          (match Hashtbl.find_opt t.stash owner with
-          | Some (old, _) ->
-              consider_conflict ~known_valid:true t old.Types.sh p.Types.sh
-          | None -> ());
-          Hashtbl.replace t.stash owner (p, now t);
-          (match p.Types.body with
-          | Some txs ->
-              let bh =
-                Bodies.received_hash t.bodies ~claimed:h.Header.body_hash txs
-              in
-              ignore (store_body t txs ~bh ~at:(now t))
-          | None -> ());
-          pulse_fill t
-        end
-      end
-    end
-    else
-      (* A proposal for a round we already closed: useless for
-         progress, but if it conflicts with the block we appended for
-         that slot it is the other half of an equivocation — the main
-         way a node that saw only one variant directly learns of the
-         fork. *)
-      match (Store.get t.store h.Header.round,
-             Hashtbl.find_opt t.signed_headers h.Header.round)
-      with
-      | Some b, Some sh when b.Block.header.Header.proposer = owner ->
-          consider_conflict t sh p.Types.sh
-      | _ -> ()
-  end
-
-(* ---------- abortable waits ---------- *)
-
-let wait_chunk = Time.ms 5
-
-(* Wait for the next arrival pulse, bounded by [deadline]. Returns
-   false once the deadline passed. Raises [Race.Aborted] on panic. *)
-let wait_pulse t ~deadline ~abort =
-  Race.check ~abort;
-  let current = now t in
-  if current >= deadline then false
-  else begin
-    if Ivar.is_filled t.pulse then t.pulse <- Ivar.create (engine t);
-    let timeout = min wait_chunk (deadline - current) in
-    ignore (Ivar.read_timeout t.pulse ~timeout);
-    Race.check ~abort;
-    true
-  end
-
-let rec obtain_proposal t ~k ~r ~deadline ~abort =
-  match best_stash t ~k ~r with
-  | Some (p, _) as x when stash_extends_tip t p || now t >= deadline -> x
-  | _ ->
-      if wait_pulse t ~deadline ~abort then
-        obtain_proposal t ~k ~r ~deadline ~abort
-      else best_stash t ~k ~r
-
-let rec obtain_body t ~hash ~deadline ~abort =
-  match Bodies.find t.bodies hash with
-  | Some txs -> Some txs
-  | None ->
-      if wait_pulse t ~deadline ~abort then obtain_body t ~hash ~deadline ~abort
-      else None
-
-(* ---------- OBBC wiring ---------- *)
-
-let obbc_key t ~r ~attempt = (t.era, r, attempt)
-
-let obbc_for t ~r ~attempt ~k =
-  let key = obbc_key t ~r ~attempt in
-  match Hashtbl.find_opt t.open_obbcs key with
-  | Some o -> o
-  | None ->
-      let era = t.era in
-      (* Per-epoch quorum: the OBBC of round r counts votes against the
-         member count of the epoch governing r, and drops frames from
-         non-members on the receive side — a stale-epoch node's vote is
-         never counted under the wrong epoch's quorum. By the time this
-         node runs round r its schedule is complete for r (the
-         activation lag is one past the definiteness horizon). *)
-      let e = epoch_at t r in
-      let qn, qf = epoch_quorum_params t e in
-      let channel =
-        Channel.of_hub t.env.Env.hub
-          ~key:(Msg.Obbc { era; round = r; attempt })
-          ~net:t.env.Env.net ~self:(me t) ~n:qn
-          ~accept:(fun src ->
-            Epoch.is_member e src
-            ||
-            (incr_c t "stale_epoch_votes_dropped";
-             false))
-          ~f:qf ~encode:Msg.encode
-          ~inj:(fun m -> Msg.Ob { era; round = r; attempt; m })
-          ~prj:(function
-            | Msg.Ob { m; _ } -> m
-            | _ -> assert false)
-      in
-      let coin =
-        Coin.make ~seed:t.env.Env.seed
-          ~instance:
-            (Printf.sprintf "%s/ob:%d:%d:%d" t.env.Env.label era r attempt)
-      in
-      let o =
-        Obbc.create (engine t) ~recorder:(recorder t) ~coin ~channel
-          ~validate_evidence:(fun ev ->
-            match Types.decode_signed_header_slice ev with
-            | Some sh ->
-                sh.Types.header.Header.round = r
-                && sh.Types.header.Header.proposer = k
-                && Types.signed_header_valid t.env.Env.registry sh
-            | None -> false)
-          ~my_evidence:(fun () ->
-            match best_stash t ~k ~r with
-            | Some (p, _) when deliverable_body t p <> None ->
-                Some (Types.encode_signed_header p.Types.sh)
-            | _ -> None)
-          ~on_pgd:(fun ~src p -> note_proposal t ~src p)
-          ?obs:t.env.Env.obs ~obs_round:r
-          ~obs_worker:t.env.Env.worker ()
-      in
-      Hashtbl.replace t.open_obbcs key o;
-      o
-
-(* ---------- pull phase (Algorithm 1, lines 22–27) ---------- *)
-
-(* The decision was 1 but we miss the header and/or body: first try
-   the evidence OBBC collected (it carries the signed header), then
-   pull from peers until a valid reply arrives. *)
-let recover_delivery t ~k ~r ~obbc ~abort =
-  (match Obbc.evidence_received obbc with
-  | Some ev -> (
-      match Types.decode_signed_header ev with
-      | Some sh
-        when sh.Types.header.Header.round = r
-             && sh.Types.header.Header.proposer = k ->
-          note_proposal t ~src:k { Types.sh; body = None }
-      | _ -> ())
-  | None -> ());
-  let rec loop () =
-    Race.check ~abort;
-    match best_stash t ~k ~r with
-    | Some (p, at)
-      when Bodies.find t.bodies p.Types.sh.Types.header.Header.body_hash
-           <> None -> (
-        match Bodies.find t.bodies p.Types.sh.Types.header.Header.body_hash with
-        | Some txs -> (p, txs, at)
-        | None -> assert false)
-    | _ ->
-        incr_c t "pulls";
-        bcast t (Msg.Req { round = r });
-        let deadline = now t + Timer.current t.timer in
-        let rec wait () =
-          if wait_pulse t ~deadline ~abort then
-            match best_stash t ~k ~r with
-            | Some (p, _)
-              when Bodies.find t.bodies p.Types.sh.Types.header.Header.body_hash
-                   <> None ->
-                ()
-            | _ -> wait ()
-        in
-        wait ();
-        loop ()
-  in
-  loop ()
-
-(* ---------- WRB delivery (Algorithm 1) ---------- *)
-
 let should_piggyback t ~k =
   t.config.Config.piggyback && t.behavior = Honest
   && predicted_next t ~k = me t
-
-let wrb_deliver t ~k =
-  let r = t.round in
-  let abort = Some t.abort in
-  let start = now t in
-  let deadline = start + Timer.current t.timer in
-  let prop =
-    if Detector.suspected t.detector k then None
-    else obtain_proposal t ~k ~r ~deadline ~abort
-  in
-  let ready =
-    match prop with
-    | None -> None
-    | Some (p, arr) -> (
-        let h = p.Types.sh.Types.header in
-        match obtain_body t ~hash:h.Header.body_hash ~deadline ~abort with
-        | Some txs
-          when h.Header.tx_count = Array.length txs
-               && t.valid { Block.header = h; txs } ->
-            Some (p, txs, arr)
-        | _ -> None)
-  in
-  (* Timer tuning tracks time-to-readiness (header AND body), not just
-     the header: with piggybacked headers the header delay is ~0 while
-     the body is still on the wire, and an EMA of the header delay
-     alone would shrink the timeout below the dissemination time. *)
-  let ready_at = now t in
-  let vote = ready <> None in
-  let pgd =
-    match ready with
-    | Some (p, _, _) when should_piggyback t ~k ->
-        Some
-          (make_proposal t ~round:(r + 1)
-             ~prev_hash:(Header.hash p.Types.sh.Types.header))
-    | _ -> None
-  in
-  let obbc = obbc_for t ~r ~attempt:t.attempt ~k in
-  let an, _ = epoch_quorum_params t (epoch_at t r) in
-  Cpu.charge t.env.Env.cpu (an * t.config.Config.vote_cpu);
-  let decision = Obbc.propose obbc ?abort ~vote ~pgd () in
-  if not decision then begin
-    Timer.on_timeout t.timer;
-    obs_span t ~name:"wrb_nil" ~round:r
-      ~args:[ ("proposer", string_of_int k) ]
-      ~t_begin:start ~t_end:(now t) ();
-    None
-  end
-  else begin
-    let recovered = ready = None in
-    let p, txs, arr =
-      match ready with
-      | Some x -> x
-      | None -> recover_delivery t ~k ~r ~obbc ~abort
-    in
-    Timer.on_success t.timer ~delay:(max 0 (ready_at - start));
-    if Fl_obs.Obs.enabled t.env.Env.obs then begin
-      obs_span t ~name:"wrb_deliver" ~round:r
-        ~args:
-          [ ("proposer", string_of_int k);
-            ("vote", string_of_bool vote);
-            ("recovered", string_of_bool recovered) ]
-        ~t_begin:start ~t_end:(now t) ();
-      if recovered then
-        obs_span t ~name:"recover_delivery" ~round:r
-          ~args:[ ("proposer", string_of_int k) ]
-          ~t_begin:ready_at ~t_end:(now t) ()
-    end;
-    Some (p, txs, arr)
-  end
-
-(* ---------- reconfiguration: state transfer and tx handoff ---------- *)
-
-(* A service fiber: hand every message of one hub channel, in arrival
-   order, to [handle], forever. *)
-let serve t chan handle =
-  Fiber.spawn (engine t) (fun () ->
-      let box = Hub.box t.env.Env.hub chan in
-      while true do
-        let src, m = Mailbox.recv box in
-        handle ~src m
-      done)
-
-let snap_chunk_bytes = 8192
-
-(* Donor side: serve the definite prefix as a segment-addressed
-   {!Fl_persist.Snapshot} — the manifest and its segments, the on-disk
-   format, chunked over the wire-true transport with no chunk
-   straddling two frames. The segments are the persistence node's when
-   one is attached, else this instance's own append-only list; either
-   way a request seals only the rounds that became definite since the
-   last one. Definite segments never change, so nothing is cached or
-   invalidated. The stream id is [upto + 1], so a joiner that resumes
-   mid-transfer can tell whether a later donor is continuing the same
-   snapshot or starting a newer one. *)
-let serve_snap_request t ~src = function
-  | Msg.Snap_req { from_chunk } ->
-      let upto = t.definite_upto in
-      let log =
-        match t.persist with
-        | Some per -> Fl_persist.Node.log per
-        | None -> t.segments
-      in
-      if upto >= 0 then
-        charge_hash t
-          ~bytes:(Fl_persist.Snapshot.extend log t.store ~upto);
-      if upto < 0 || Fl_persist.Snapshot.sealed_upto log <> upto then
-        (* nothing durable yet: an explicit empty reply beats
-           silence — the joiner backs off instead of timing out *)
-        send t ~dst:src
-          (Msg.Snap_chunk
-             { sid = 0;
-               seq = 0;
-               total = 0;
-               data = Fl_wire.Codec.Slice.of_string "" })
-      else begin
-        (* borrowed views of the sealed frames: the chunk bytes
-           are blitted once, straight into the wire frame *)
-        let chunks =
-          List.concat_map
-            (fun p ->
-              let len = String.length p in
-              List.init
-                ((len + snap_chunk_bytes - 1) / snap_chunk_bytes)
-                (fun i ->
-                  let off = i * snap_chunk_bytes in
-                  Fl_wire.Codec.Slice.of_sub p ~pos:off
-                    ~len:(min snap_chunk_bytes (len - off))))
-            (Fl_persist.Snapshot.parts
-               (Fl_persist.Snapshot.make ~upto ~era:t.era ~app:""
-                  ~app_hash:"" ~pruned_below:(Store.pruned_below t.store)
-                  log))
-        in
-        let total = List.length chunks in
-        incr_c t "snap_requests_served";
-        List.iteri
-          (fun seq data ->
-            if seq >= from_chunk then
-              send t ~dst:src
-                (Msg.Snap_chunk { sid = upto + 1; seq; total; data }))
-          chunks
-      end
-  | _ -> ()
-
-(* Receive a leaving node's pending transactions into our pool at
-   their original fee priority — the conservation half of a Leave. *)
-let serve_handoff t ~src:_ = function
-  | Msg.Tx_handoff { txs; fees } ->
-      Array.iteri
-        (fun i tx ->
-          incr_c t "txs_handoff_in";
-          ignore (Mempool.readmit t.mempool tx ~fee:fees.(i)))
-        txs;
-      pulse_fill t
-  | _ -> ()
-
-(* The snap/handoff fibers are spawned lazily — only on instances that
-   can actually see reconfiguration (a partial genesis membership, or
-   a scheduled epoch) — so fully static clusters run a byte-identical
-   event schedule to the pre-epoch code. *)
-let ensure_reconfig_fibers t =
-  if not t.reconfig_fibers then begin
-    t.reconfig_fibers <- true;
-    serve t Msg.Snap_requests (serve_snap_request t);
-    serve t Msg.Handoffs (serve_handoff t)
-  end
 
 (* ---------- epoch scheduling (from definite blocks) ---------- *)
 
@@ -836,14 +164,14 @@ let schedule_epoch t ~round changes =
   | None -> ()
   | Some e ->
       t.epochs <- e :: t.epochs;
-      incr_c t "epochs_scheduled";
-      obs_instant t ~name:"epoch_scheduled" ~round
+      Env.incr t.env "epochs_scheduled";
+      Env.instant t.env ~name:"epoch_scheduled" ~round
         ~args:
           [ ("epoch", string_of_int e.Epoch.index);
             ("activation", string_of_int e.Epoch.activation);
             ("members", string_of_int (Epoch.n e)) ]
         ();
-      ensure_reconfig_fibers t;
+      Transfer.ensure_fibers t.transfer;
       t.output.on_epoch e
 
 let note_reconfig t ~round (b : Block.t) =
@@ -866,6 +194,25 @@ let rebuild_epochs t =
   t.active_epoch <- e;
   Rotation.set_members t.rotation (Epoch.members e)
 
+(* Activate the epoch governing the current round: swap the rotation
+   onto the new member set and re-seat the proposer cursor inside it.
+   Pure function of (definite chain, round) — every correct node
+   switches at the same round with the same members. *)
+let refresh_epoch t =
+  let e = epoch_at t t.round in
+  if e.Epoch.index <> t.active_epoch.Epoch.index then begin
+    t.active_epoch <- e;
+    Rotation.set_members t.rotation (Epoch.members e);
+    Env.incr t.env "epoch_activations";
+    Env.instant t.env ~name:"epoch_activate" ~round:t.round
+      ~args:
+        [ ("epoch", string_of_int e.Epoch.index);
+          ("members", string_of_int (Epoch.n e)) ]
+      ();
+    let recent = recent_proposers t (f_of t) in
+    t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent t.proposer
+  end
+
 (* ---------- definite decisions, pruning, GC ---------- *)
 
 let mark_definite t =
@@ -887,16 +234,14 @@ let mark_definite t =
         let d = now t in
         let times = { a = pt.pt_a; b = pt.pt_b; c = pt.pt_c; d } in
         Fl_metrics.Recorder.observe (recorder t) "ev_cd" (d - pt.pt_c);
-        obs_span t ~name:"finality_delay" ~round:r
+        Env.span t.env ~name:"finality_delay" ~round:r
           ~args:[ ("proposer", string_of_int b.Block.header.Header.proposer) ]
           ~t_begin:pt.pt_c ~t_end:d ();
         Fl_metrics.Recorder.mark (recorder t) "blocks_definite" ~now:d 1;
         Fl_metrics.Recorder.mark (recorder t) "txs_definite" ~now:d
           b.Block.header.Header.tx_count;
-        if b.Block.header.Header.proposer = me t then begin
-          Hashtbl.remove t.own_in_flight b.Block.header.Header.body_hash;
-          Hashtbl.remove t.pool_txs b.Block.header.Header.body_hash
-        end;
+        if b.Block.header.Header.proposer = me t then
+          Wrb.own_definite t.wrb ~bh:b.Block.header.Header.body_hash;
         (match t.persist with
         | Some per -> Fl_persist.Node.log_definite per ~upto:r ~era:t.era b
         | None -> ());
@@ -908,27 +253,13 @@ let mark_definite t =
 let gc t =
   let cutoff = t.round - t.config.Config.gc_window in
   if cutoff > 0 then begin
-    let stale =
-      Hashtbl.fold
-        (fun ((_, r, _) as key) o acc ->
-          if r < cutoff then (key, o) :: acc else acc)
-        t.open_obbcs []
-    in
-    List.iter
-      (fun (key, o) ->
-        Obbc.close o;
-        Hashtbl.remove t.open_obbcs key)
-      stale;
     let prune_cut = t.round - t.config.Config.prune_window in
+    Wrb.gc t.wrb ~cutoff ~prune_cut;
     if prune_cut > 0 then begin
       Store.prune t.store ~keep_from:prune_cut;
       Hashtbl.iter
         (fun r _ -> if r < prune_cut then Hashtbl.remove t.signed_headers r)
-        (Hashtbl.copy t.signed_headers);
-      Hashtbl.iter
-        (fun ((r, _) as key) _ ->
-          if r < prune_cut then Hashtbl.remove t.my_signed key)
-        (Hashtbl.copy t.my_signed)
+        (Hashtbl.copy t.signed_headers)
     end
   end
 
@@ -948,10 +279,11 @@ let accept_block t (p : Types.proposal) txs ~header_at =
      is still sitting in the stash: a clean majority closes the round
      without panic, so this is the only moment the losing variant and
      the winning one meet in one node's hands. *)
-  (match Hashtbl.find_opt t.stash h.Header.proposer with
-  | Some (st, _) when st.Types.sh.Types.header.Header.round = r ->
-      consider_conflict ~known_valid:true t st.Types.sh p.Types.sh
-  | _ -> ());
+  (match Wrb.stashed t.wrb ~k:h.Header.proposer ~r with
+  | Some st ->
+      Accountability.consider_conflict ~known_valid:true t.acc st.Types.sh
+        p.Types.sh
+  | None -> ());
   (match t.persist with
   | Some per ->
       Fl_persist.Node.log_append per ~block
@@ -968,19 +300,14 @@ let accept_block t (p : Types.proposal) txs ~header_at =
   Fl_metrics.Recorder.observe (recorder t) "ev_bc" (max 0 (c - header_at));
   Fl_metrics.Recorder.mark (recorder t) "blocks_tentative" ~now:c 1;
   if Fl_obs.Obs.enabled t.env.Env.obs then
-    obs_span t ~name:"tentative" ~round:r
+    Env.span t.env ~name:"tentative" ~round:r
       ~args:
         [ ("proposer", string_of_int h.Header.proposer);
           ("hash", Fl_crypto.Hex.short (Block.hash block)) ]
       ~t_begin:a ~t_end:c ();
   t.output.on_tentative ~round:r block;
-  if h.Header.proposer = me t then begin
-    (match Queue.peek_opt t.prepared with
-    | Some (_, bh, _) when String.equal bh h.Header.body_hash ->
-        ignore (Queue.pop t.prepared)
-    | _ -> ());
-    Hashtbl.remove t.own_in_flight h.Header.body_hash
-  end;
+  if h.Header.proposer = me t then
+    Wrb.own_appended t.wrb ~bh:h.Header.body_hash;
   Bodies.remove t.bodies h.Header.body_hash;
   mark_definite t;
   t.attempt <- 0;
@@ -993,33 +320,6 @@ let accept_block t (p : Types.proposal) txs ~header_at =
   t.proposer <- Rotation.successor t.rotation ~round:r h.Header.proposer;
   t.round <- r + 1;
   if r land 63 = 0 then gc t
-
-(* ---------- recovery (Algorithm 3) ---------- *)
-
-let version_box t r =
-  match Hashtbl.find_opt t.version_boxes r with
-  | Some b -> b
-  | None ->
-      let b = Mailbox.create (engine t) in
-      Hashtbl.add t.version_boxes r b;
-      b
-
-let own_version t r =
-  let f = f_of t in
-  let s = max 0 (r - (f + 1)) in
-  if t.round < r - 1 then
-    { Types.recovery_round = r; origin = me t; blocks = [] }
-  else
-    let blocks =
-      Store.sub t.store ~from:s
-      |> List.filter_map (fun b ->
-             match
-               Hashtbl.find_opt t.signed_headers b.Block.header.Header.round
-             with
-             | Some sh -> Some (b, sh.Types.signature)
-             | None -> None)
-    in
-    { Types.recovery_round = r; origin = me t; blocks }
 
 (* The one store surgery that rescinds tentative rounds: discard rounds
    >= [from] and append the signed [adopted] blocks (recovery adopting
@@ -1034,12 +334,11 @@ let rescind_suffix t ~from ~rescinded adopted =
   let readmit =
     List.fold_left
       (fun acc (old : Block.t) ->
-        let bh = old.Block.header.Header.body_hash in
-        match Hashtbl.find_opt t.pool_txs bh with
-        | Some batch when old.Block.header.Header.proposer = me t ->
-            Hashtbl.remove t.pool_txs bh;
-            batch :: acc
-        | _ -> acc)
+        if old.Block.header.Header.proposer = me t then
+          match Wrb.reclaim t.wrb ~bh:old.Block.header.Header.body_hash with
+          | Some batch -> batch :: acc
+          | None -> acc
+        else acc)
       [] rescinded
   in
   match Store.replace_suffix t.store ~from (List.map fst adopted) with
@@ -1055,7 +354,7 @@ let rescind_suffix t ~from ~rescinded adopted =
         adopted;
       List.iter
         (Array.iter (fun (tx, fee) ->
-             incr_c t "txs_readmitted";
+             Env.incr t.env "txs_readmitted";
              ignore (Mempool.readmit t.mempool tx ~fee)))
         readmit;
       (match t.persist with
@@ -1071,133 +370,31 @@ let rescind_suffix t ~from ~rescinded adopted =
           m "instance %d: rescind from round %d failed: %a" (me t) from
             Store.pp_error e)
 
-let recovery t r =
-  incr_c t "recoveries";
-  let recovery_start = now t in
-  Fl_metrics.Recorder.mark (recorder t) "recoveries" ~now:(now t) 1;
-  Detector.invalidate t.detector;
-  let v = own_version t r in
-  (match t.ab with Some ab -> Pbft.submit ab v | None -> assert false);
-  let box = version_box t r in
-  let anchor round =
-    if round < 0 then Some Block.genesis_hash
-    else
-      match Store.get t.store round with
-      | Some b -> Some (Block.hash b)
-      | None -> None
-  in
-  let seen = Hashtbl.create 8 in
-  let version_headers = Hashtbl.create 16 in
-      (* per recovery: headers seen in received versions, by round *)
-  let collected = ref [] in
-  let count = ref 0 in
-  (* The version quorum counts against the membership of the epoch
-     governing the recovery round; versions from non-members (a
-     departed node replaying stale state) are discarded. *)
-  let an, af = epoch_quorum_params t (epoch_at t r) in
-  while !count < an - af do
-    let vj = Mailbox.recv box in
-    if
-      (not (Hashtbl.mem seen vj.Types.origin))
-      && ((not (membership_known t ~round:r))
-         || is_member_at t ~round:r vj.Types.origin)
-    then begin
-      Hashtbl.add seen vj.Types.origin ();
-      (* price of authenticating a received version (Table 1's
-         (n−f)·chain-size signature checks) *)
-      List.iter
-        (fun (b, _) ->
-          charge_verify t;
-          charge_hash t ~bytes:b.Block.header.Header.body_size)
-        vj.Types.blocks;
-      (* accountability sweep: a block claiming a slot differently
-         from our own chain, or from another received version, is half
-         of an equivocation — recovery is where a node that saw only
-         one variant on the wire learns of the fork, because the n−f
-         version quorum cannot exclude every holder of either variant *)
-      List.iter
-        (fun (b, s) ->
-          let rb = b.Block.header.Header.round in
-          let sh = { Types.header = b.Block.header; signature = s } in
-          (match
-             (Store.get t.store rb, Hashtbl.find_opt t.signed_headers rb)
-           with
-          | Some local, Some local_sh
-            when local.Block.header.Header.proposer
-                 = b.Block.header.Header.proposer ->
-              consider_conflict t local_sh sh
-          | _ -> ());
-          (* the other variant may never have been acceptable here —
-             built on a tip we did not hold — and still sit in the
-             stash *)
-          (match Hashtbl.find_opt t.stash b.Block.header.Header.proposer with
-          | Some (st, _) when st.Types.sh.Types.header.Header.round = rb ->
-              consider_conflict t st.Types.sh sh
-          | _ -> ());
-          let prior =
-            match Hashtbl.find_opt version_headers rb with
-            | Some l -> l
-            | None -> []
-          in
-          List.iter (fun prior_sh -> consider_conflict t prior_sh sh) prior;
-          if
-            not
-              (List.exists
-                 (fun p -> Header.equal p.Types.header b.Block.header)
-                 prior)
-          then Hashtbl.replace version_headers rb (sh :: prior))
-        vj.Types.blocks;
-      match
-        Types.validate_version t.env.Env.registry ~f:af ~n:(n_of t) ~anchor vj
-      with
-      | Types.Adoptable ->
-          collected := vj :: !collected;
-          incr count
-      | Types.Unanchored ->
-          (* counts toward the quorum but cannot be adopted here *)
-          incr count
-      | Types.Invalid -> incr_c t "invalid_versions"
-    end
-  done;
-  let adoptable = List.rev !collected in
-  let best =
-    List.fold_left
-      (fun best v ->
-        if v.Types.blocks = [] then best
-        else
-          match best with
-          | Some b when Types.version_tip b >= Types.version_tip v -> best
-          | _ -> Some v)
-      None adoptable
-  in
-  let rescinded =
-    match best with
-    | None -> 0
-    | Some v ->
-        let first_round =
-          match v.Types.blocks with
-          | (b, _) :: _ -> b.Block.header.Header.round
-          | [] -> assert false
-        in
-        (* the blocks this version rescinds: rounds whose block
-           changes, then the stored suffix past its tip *)
-        let replaced =
-          List.filter_map
-            (fun (b, _) ->
-              match Store.get t.store b.Block.header.Header.round with
-              | Some old
-                when not (String.equal (Block.hash old) (Block.hash b)) ->
-                  Some old
-              | _ -> None)
-            v.Types.blocks
-          @ Store.sub t.store ~from:(Types.version_tip v + 1)
-        in
-        rescind_suffix t ~from:first_round ~rescinded:replaced v.Types.blocks;
-        List.length replaced
-  in
+(* Drop the tentative suffix — every stored round past the definite
+   watermark. The catch-up sync uses this when a pulled canonical
+   block contradicts blocks we appended before an absence: a recovery
+   we never saw rescinded them, and no amount of re-pulling will link
+   onto a dead branch. Definite rounds are agreed, so the canonical
+   chain is guaranteed to re-link at the watermark. *)
+let rescind_tentative_suffix t =
+  let from = t.definite_upto + 1 in
+  let old_len = Store.length t.store in
+  if from < old_len then begin
+    rescind_suffix t ~from ~rescinded:(Store.sub t.store ~from) [];
+    Fl_metrics.Recorder.add (recorder t) "blocks_rescinded" (old_len - from);
+    Env.incr t.env "catchup_rescinds";
+    Env.instant t.env ~name:"catch_up_rescind" ~round:from
+      ~args:[ ("to", string_of_int (old_len - 1)) ]
+      ();
+    t.round <- Store.length t.store;
+    t.attempt <- 0
+  end
+
+(* The next era, once a recovery for [round] adopted its version: the
+   completed-recovery count advances and rounds restart at the tip. *)
+let next_era t ~round:r ~rescinded ~t_begin =
   t.output.on_recovery ~round:r ~rescinded;
   Fl_metrics.Recorder.add (recorder t) "blocks_rescinded" rescinded;
-  Hashtbl.remove t.version_boxes r;
   t.era <- t.era + 1;
   (match t.persist with
   | Some per ->
@@ -1206,374 +403,18 @@ let recovery t r =
       Fl_persist.Node.log_watermark per ~upto:t.definite_upto ~era:t.era
   | None -> ());
   t.round <- Store.length t.store;
-  t.attempt <- 0;
-  t.full_mode <- true;
-  reseat_proposer t;
-  obs_span t ~name:"recovery" ~round:r
+  resume t;
+  Env.span t.env ~name:"recovery" ~round:r
     ~args:
       [ ("era", string_of_int (t.era - 1));
         ("rescinded", string_of_int rescinded);
         ("new_round", string_of_int t.round) ]
-    ~t_begin:recovery_start ~t_end:(now t) ();
+    ~t_begin ~t_end:(now t) ();
   mark_definite t
-
-let enqueue_proof t proof =
-  let r = Types.proof_round proof in
-  if
-    (not (Hashtbl.mem t.handled_recoveries r))
-    && (not (List.exists (fun p -> Types.proof_round p = r) t.pending_proofs))
-    && Types.proof_valid t.env.Env.registry proof
-  then begin
-    t.pending_proofs <- proof :: t.pending_proofs;
-    ignore (Ivar.try_fill t.abort ())
-  end
 
 let handle_panics t =
   t.abort <- Ivar.create (engine t);
-  let rec drain () =
-    match
-      List.sort
-        (fun a b -> compare (Types.proof_round a) (Types.proof_round b))
-        t.pending_proofs
-    with
-    | [] -> ()
-    | proof :: rest ->
-        t.pending_proofs <- rest;
-        let r = Types.proof_round proof in
-        if not (Hashtbl.mem t.handled_recoveries r) then begin
-          Hashtbl.add t.handled_recoveries r ();
-          recovery t r
-        end;
-        drain ()
-  in
-  drain ()
-
-(* ---------- Byzantine equivocation (§7.4.2) ---------- *)
-
-let equivocate_push t =
-  let r = t.round in
-  let prev_hash = Store.last_hash t.store in
-  let variant targets =
-    let txs, bh, _ = build_body t in
-    (* Two empty bodies would be the *same* block — no equivocation at
-       all; a real attacker makes the variants differ. *)
-    let txs, bh =
-      if Array.length txs = 0 then begin
-        let txs = [| synth_tx t |] in
-        (txs, store_body t txs ~at:(now t))
-      end
-      else (txs, bh)
-    in
-    Queue.clear t.prepared;
-    let header =
-      { Header.round = r;
-        proposer = me t;
-        prev_hash;
-        body_hash = bh;
-        tx_count = Array.length txs;
-        body_size = body_bytes txs }
-    in
-    charge_sign t;
-    let sh = Types.sign_header t.env.Env.registry ~signer:(me t) header in
-    let body = if t.config.Config.separate_bodies then None else Some txs in
-    let p = { Types.sh; body } in
-    if t.config.Config.separate_bodies then
-      multicast t ~dsts:targets (Msg.Body { body_hash = bh; txs; ttl = 0 });
-    multicast t ~dsts:targets (Msg.Push { proposal = p })
-  in
-  let half_a, half_b = t.halves in
-  incr_c t "equivocations";
-  variant half_a;
-  variant half_b
-
-(* ---------- the main loop (Algorithm 2) ---------- *)
-
-let nil_path t ~k =
-  incr_c t "wrb_nil";
-  obs_instant t ~name:"nil_round" ~round:t.round
-    ~args:[ ("proposer", string_of_int k) ]
-    ();
-  Detector.record_timeout t.detector ~proposer:k;
-  t.full_mode <- true;
-  t.attempt <- t.attempt + 1;
-  t.proposer <- Rotation.successor t.rotation ~round:t.round t.proposer
-
-(* Highest round any stashed (signed) proposal claims. *)
-let max_stash_round t =
-  Hashtbl.fold
-    (fun _ (p, _) acc -> max acc p.Types.sh.Types.header.Header.round)
-    t.stash (-1)
-
-(* Drop the tentative suffix — every stored round past the definite
-   watermark. The catch-up sync uses this when a pulled canonical
-   block contradicts blocks we appended before an absence: a recovery
-   we never saw rescinded them, and no amount of re-pulling will link
-   onto a dead branch. Definite rounds are agreed, so the canonical
-   chain is guaranteed to re-link at the watermark. Our own rescinded
-   proposals re-queue their client transactions at original priority
-   (the conservation contract), and the WAL mirrors the surgery. *)
-let rescind_tentative_suffix t =
-  let from = t.definite_upto + 1 in
-  let old_len = Store.length t.store in
-  if from < old_len then begin
-    rescind_suffix t ~from ~rescinded:(Store.sub t.store ~from) [];
-    Fl_metrics.Recorder.add (recorder t) "blocks_rescinded" (old_len - from);
-    incr_c t "catchup_rescinds";
-    obs_instant t ~name:"catch_up_rescind" ~round:from
-      ~args:[ ("to", string_of_int (old_len - 1)) ]
-      ();
-    t.round <- Store.length t.store;
-    t.attempt <- 0
-  end
-
-(* A pulled block is well-formed when its body matches the signed
-   header and passes external validity. *)
-let well_formed t ((sh : Types.signed_header), txs) =
-  sh.Types.header.Header.tx_count = Array.length txs
-  && (let claimed = sh.Types.header.Header.body_hash in
-      String.equal (Bodies.received_hash t.bodies ~claimed txs) claimed)
-  && t.valid { Block.header = sh.Types.header; txs }
-
-(* Append the pulled block for round [r] if it is well-formed and
-   extends our tip. True on progress. *)
-let accept_pulled t r =
-  match Hashtbl.find_opt t.fetched r with
-  | Some ((sh, txs) as pulled)
-    when String.equal sh.Types.header.Header.prev_hash (Store.last_hash t.store)
-         && well_formed t pulled ->
-      Hashtbl.remove t.fetched r;
-      charge_verify t;
-      charge_hash t ~bytes:(body_bytes txs);
-      accept_block t { Types.sh; body = None } txs ~header_at:(now t);
-      true
-  | _ -> false
-
-(* Ask every peer for round [r]'s block and wait until a reply lands in
-   [fetched] or [timeout] passes. *)
-let request_round t ~r ~timeout ~abort =
-  bcast t (Msg.Req { round = r });
-  let deadline = now t + timeout in
-  let rec wait () =
-    if (not (Hashtbl.mem t.fetched r)) && wait_pulse t ~deadline ~abort then
-      wait ()
-  in
-  wait ()
-
-(* Catch-up sync: a node that was isolated past its peers' live
-   protocol window (their per-round OBBC state is garbage-collected)
-   can no longer complete old rounds by consensus. Signed proposals in
-   the stash reveal how far ahead the cluster is; blocks at depth
-   > f+1 below that are definite-agreed, so we pull them wholesale
-   (Req/Reply), validate signatures, hash links and bodies, and append
-   without re-running consensus. The paper leaves state transfer to
-   future work; this covers laggards within the peers' prune window. *)
-let maybe_catch_up t =
-  let target = max_stash_round t - (f_of t + 2) in
-  if target >= t.round + f_of t + 4 then begin
-    incr_c t "catch_ups";
-    let catch_up_start = now t and from_round = t.round in
-    let abort = Some t.abort in
-    let pull_timeout = min (Timer.current t.timer) (Time.ms 200) in
-    (* [stalls] counts consecutive rounds where pulling produced no
-       usable block; any progress resets it, so a reachable window is
-       drained completely while an unreachable one (peers pruned past
-       us) is abandoned quickly. *)
-    let stalls = ref 0 in
-    while t.round <= target && !stalls < 10 do
-      Race.check ~abort;
-      let r = t.round in
-      if accept_pulled t r then stalls := 0
-      else begin
-        match Hashtbl.find_opt t.fetched r with
-        | Some pulled when t.definite_upto < r - 1 && well_formed t pulled ->
-            (* A well-formed, proposer-signed block for our next round
-               that does not link onto our tip: the tentative rounds we
-               stored before the absence were rescinded behind our back.
-               Drop them and resume pulling from the definite watermark
-               (worst case an adversarial reply costs us re-pulling
-               blocks we already had — tentative rounds only, so never
-               safety). *)
-            rescind_tentative_suffix t;
-            stalls := 0
-        | _ ->
-            Hashtbl.remove t.fetched r;
-            request_round t ~r ~timeout:pull_timeout ~abort;
-            if not (Hashtbl.mem t.fetched r) then incr stalls
-      end
-    done;
-    (* The long absence inflated the WRB timer; rebase it on a normal
-       delivery delay before resuming rounds. *)
-    Timer.on_success t.timer ~delay:pull_timeout;
-    t.full_mode <- true;
-    t.attempt <- 0;
-    reseat_proposer t;
-    obs_span t ~name:"catch_up" ~round:from_round
-      ~args:
-        [ ("target", string_of_int target); ("at", string_of_int t.round) ]
-      ~t_begin:catch_up_start ~t_end:(now t) ()
-  end
-
-(* Activate the epoch governing the current round: swap the rotation
-   onto the new member set and re-seat the proposer cursor inside it.
-   Pure function of (definite chain, round) — every correct node
-   switches at the same round with the same members. *)
-let refresh_epoch t =
-  let e = epoch_at t t.round in
-  if e.Epoch.index <> t.active_epoch.Epoch.index then begin
-    t.active_epoch <- e;
-    Rotation.set_members t.rotation (Epoch.members e);
-    incr_c t "epoch_activations";
-    obs_instant t ~name:"epoch_activate" ~round:t.round
-      ~args:
-        [ ("epoch", string_of_int e.Epoch.index);
-          ("members", string_of_int (Epoch.n e)) ]
-      ();
-    let recent = recent_proposers t (f_of t) in
-    t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent t.proposer
-  end
-
-(* Pull one block for round [r] (Req/Reply) and append it if it
-   extends the tip — the per-round tail of a joiner's catch-up, used
-   when the gap is too small for [maybe_catch_up]. Returns true on
-   progress. *)
-let pull_round t ~r ~timeout =
-  if not (Hashtbl.mem t.fetched r) then
-    request_round t ~r ~timeout ~abort:None;
-  accept_pulled t r
-  ||
-  (Hashtbl.remove t.fetched r;
-   false)
-
-let round_step t =
-  maybe_catch_up t;
-  refresh_epoch t;
-  (* A member that entered the round after its OBBC instance already
-     completed among the others — a joiner at its activation round —
-     can never finish the round by consensus (the peers' per-round
-     state is spent) and a one-round gap is far below the catch-up
-     trigger. The watchdog diagnoses the wedge (no progress while the
-     stash holds a signed later-round proposal) and aborts the parked
-     wait; here we pull the missed block instead of re-entering it.
-     The pulled block is tentative like any other, so rescind and
-     recovery still apply. The watchdog only arms this after a
-     reconfiguration, so with reconfiguration unused the behaviour
-     (and the pinned run digest) is untouched. *)
-  if t.wedged then begin
-    t.wedged <- false;
-    if max_stash_round t > t.round then
-      ignore
-        (pull_round t ~r:t.round
-           ~timeout:(min (Timer.current t.timer) (Time.ms 100)))
-  end;
-  (* lines b1–b3: skip proposers of the last f tentative blocks *)
-  let recent = recent_proposers t (f_of t) in
-  let chosen =
-    Rotation.eligible t.rotation ~round:t.round ~recent t.proposer
-  in
-  if chosen <> t.proposer then begin
-    t.proposer <- chosen;
-    Detector.invalidate t.detector
-  end;
-  let k = t.proposer in
-  (* proposer duties at round start *)
-  if k = me t then begin
-    match t.behavior with
-    | Equivocator -> equivocate_push t
-    | Honest ->
-        if t.full_mode then begin
-          (* lines 6–11: the previous attempt failed — push directly *)
-          let p =
-            make_proposal t ~round:t.round ~prev_hash:(Store.last_hash t.store)
-          in
-          (match
-             (Queue.peek_opt t.prepared, t.config.Config.separate_bodies)
-           with
-          | Some (txs, bh, _), true -> broadcast_body t txs ~bh
-          | _ -> ());
-          bcast t (Msg.Push { proposal = p })
-        end
-  end
-  else if predicted_next t ~k = me t && t.behavior = Honest
-          && t.config.Config.piggyback && t.config.Config.separate_bodies
-  then
-    (* start shipping the next body early; the header follows on the
-       OBBC vote *)
-    pre_disseminate t;
-  match wrb_deliver t ~k with
-  | None -> nil_path t ~k
-  | Some (p, txs, header_at) ->
-      t.full_mode <- false;
-      Detector.record_delivery t.detector ~proposer:k;
-      if not (t.valid { Block.header = p.Types.sh.Types.header; txs }) then begin
-        (* Delivered (weak agreement) but externally invalid — every
-           correct node evaluates the same deterministic predicate on
-           the same content, so all reject together (BBFC-Validity). *)
-        incr_c t "externally_invalid_blocks";
-        nil_path t ~k
-      end
-      else if String.equal p.Types.sh.Types.header.Header.prev_hash
-                (Store.last_hash t.store)
-      then accept_block t p txs ~header_at
-      else begin
-        (* lines b4–b10: provable chain inconsistency *)
-        match Hashtbl.find_opt t.signed_headers (t.round - 1) with
-        | Some earlier
-          when not
-                 (Hashtbl.mem t.handled_recoveries
-                    p.Types.sh.Types.header.Header.round) ->
-            let proof = { Types.later = p.Types.sh; earlier } in
-            incr_c t "proofs_generated";
-            obs_instant t ~name:"proof" ~round:t.round
-              ~args:
-                [ ( "against",
-                    string_of_int p.Types.sh.Types.header.Header.proposer ) ]
-              ();
-            t.rb_tag <- t.rb_tag + 1;
-            (match t.rb with
-            | Some rb -> Fl_broadcast.Bracha.broadcast rb ~tag:t.rb_tag proof
-            | None -> assert false);
-            enqueue_proof t proof;
-            handle_panics t
-        | _ ->
-            (* stale equivocation remnant or unprovable: failed round *)
-            nil_path t ~k
-      end
-
-(* ---------- outside the membership: joiners and leavers ---------- *)
-
-(* A leaving node's last act as a pool holder: ship every pending
-   client transaction (queued and in-flight in unproposed bodies) to
-   the lowest-id surviving member, at original fee priority — the
-   tx-conservation oracle must hold across membership changes. *)
-let do_handoff t =
-  let e = epoch_at t t.round in
-  let dst =
-    Array.fold_left
-      (fun acc m -> if m <> me t && acc < 0 then m else acc)
-      (-1) (Epoch.members e)
-  in
-  if dst >= 0 then begin
-    let pending = ref [] in
-    let qd = Mempool.take_batch_prio t.mempool ~max:max_int in
-    Array.iter (fun p -> pending := p :: !pending) qd;
-    Hashtbl.iter
-      (fun _ batch -> Array.iter (fun p -> pending := p :: !pending) batch)
-      t.pool_txs;
-    Hashtbl.reset t.pool_txs;
-    match !pending with
-    | [] -> ()
-    | l ->
-        let arr = Array.of_list l in
-        let txs = Array.map fst arr and fees = Array.map snd arr in
-        Fl_metrics.Recorder.add (recorder t) "txs_handoff_out"
-          (Array.length arr);
-        obs_instant t ~name:"leave_handoff" ~round:t.round
-          ~args:
-            [ ("dst", string_of_int dst);
-              ("txs", string_of_int (Array.length arr)) ]
-          ();
-        send t ~dst (Msg.Tx_handoff { txs; fees })
-  end
+  Panic.drain t.panic
 
 (* The one adoption path for a whole chain this (empty) instance did
    not decide: boot from disk and joiner state transfer. Copy [src]
@@ -1601,151 +442,103 @@ let adopt_chain t src ~definite ~era ~pay =
   t.definite_upto <- min definite (Store.length t.store - 1);
   t.era <- era;
   t.round <- Store.length t.store;
-  t.attempt <- 0;
-  t.full_mode <- true;
   rebuild_epochs t;
-  reseat_proposer t
+  resume t
 
-(* Seed this (empty, joining) instance from a transferred snapshot.
-   Signed headers are unknown (snapshots carry no signatures); the
-   joiner re-collects them as it follows live rounds. If a durability
-   layer is attached, the adopted prefix is fed through it (application
-   replay + a durable snapshot) so a later cold restart recovers
-   locally. *)
-let adopt_snapshot t (m : Fl_persist.Snapshot.manifest) chain =
-  adopt_chain t chain ~definite:m.Fl_persist.Snapshot.m_upto
-    ~era:m.Fl_persist.Snapshot.m_era ~pay:(fun bytes -> charge_hash t ~bytes);
-  (match t.persist with
-  | Some per ->
-      for r = 0 to t.definite_upto do
-        match Store.get t.store r with
-        | Some b -> Fl_persist.Node.log_definite per ~upto:r ~era:t.era b
-        | None -> ()
-      done;
-      Fl_persist.Node.take_snapshot per ~store:t.store ~upto:t.definite_upto
-        ~era:t.era
-  | None -> ());
-  obs_instant t ~name:"snapshot_adopted" ~round:t.round
-    ~args:
-      [ ("upto", string_of_int t.definite_upto); ("era", string_of_int t.era) ]
-    ()
+(* ---------- Byzantine equivocation (§7.4.2) ---------- *)
 
-(* Joiner state transfer: ask a donor for the chunked snapshot, with
-   bounded exponential backoff on silence and donor rotation on
-   retry. Chunks are accumulated per stream id — a donor crash
-   mid-transfer resumes from the last verified (contiguously held)
-   chunk against the next donor; a stream id mismatch (the chain moved
-   on) restarts cleanly. The assembled snapshot is checked frame by
-   frame by {!Fl_persist.Snapshot.restore} (fail closed: any corruption
-   discards everything — never a half-applied prefix). *)
-let state_transfer t =
-  incr_c t "state_transfers";
-  let start = now t in
-  let box = Hub.box t.env.Env.hub Msg.Snap_chunks in
-  let chunks : (int, string) Hashtbl.t = Hashtbl.create 64 in
-  let sid = ref (-1) in
-  let total = ref (-1) in
-  let retries = ref 0 in
-  let backoff = ref (Time.ms 50) in
-  let max_backoff = Time.ms 1600 in
-  let result = ref None in
-  let contiguous () =
-    let rec go i = if Hashtbl.mem chunks i then go (i + 1) else i in
-    go 0
+let equivocate_push t =
+  let round = t.round in
+  let prev_hash = Store.last_hash t.store in
+  let variant targets =
+    let p, txs, bh = Wrb.variant t.wrb ~round ~prev_hash in
+    if t.config.Config.separate_bodies then
+      Env.multicast t.env ~dsts:targets
+        (Msg.Body { body_hash = bh; txs; ttl = 0 });
+    Env.multicast t.env ~dsts:targets (Msg.Push { proposal = p })
   in
-  let complete () = !total > 0 && contiguous () >= !total in
-  while !result = None && not t.stopped do
-    let e = epoch_at t t.round in
-    let donors =
-      Array.to_list (Epoch.members e) |> List.filter (fun m -> m <> me t)
-    in
-    match donors with
-    | [] -> Fiber.sleep (engine t) !backoff
-    | _ -> (
-        let donor = List.nth donors (!retries mod List.length donors) in
-        send t ~dst:donor (Msg.Snap_req { from_chunk = contiguous () });
-        let deadline = ref (now t + !backoff) in
-        let progressed = ref false in
-        while (not (complete ())) && now t < !deadline do
-          match Mailbox.recv_timeout box ~timeout:(!deadline - now t) with
-          | Some (_src, Msg.Snap_chunk { sid = s; seq; total = tot; data })
-            when tot > 0 ->
-              if s <> !sid then begin
-                (* a different (newer) snapshot stream: restart *)
-                Hashtbl.reset chunks;
-                sid := s;
-                total := tot
-              end;
-              if not (Hashtbl.mem chunks seq) then begin
-                (* copy-on-retain: the chunk view borrows the delivered
-                   frame; what we accumulate must outlive it *)
-                Hashtbl.replace chunks seq (Fl_wire.Codec.Slice.to_string data);
-                progressed := true;
-                (* progress re-arms the quiet deadline *)
-                deadline := now t + !backoff
-              end
-          | Some _ | None -> ()
-        done;
-        if complete () then begin
-          let buf = Buffer.create (!total * snap_chunk_bytes) in
-          for i = 0 to !total - 1 do
-            Buffer.add_string buf (Hashtbl.find chunks i)
-          done;
-          let encoded = Buffer.contents buf in
-          charge_hash t ~bytes:(String.length encoded);
-          let fail why =
-            incr_c t "transfer_decode_failures";
-            obs_instant t ~name:"transfer_rejected" ~args:[ ("why", why) ] ();
-            Hashtbl.reset chunks;
-            sid := -1;
-            total := -1
-          in
-          match Fl_persist.Snapshot.restore [ encoded ] with
-          | Error e -> fail e
-          | Ok restored -> result := Some restored
-        end
-        else begin
-          incr retries;
-          incr_c t "transfer_retries";
-          if not !progressed then backoff := min (2 * !backoff) max_backoff
-        end)
-  done;
-  match !result with
-  | None -> ()
-  | Some (m, chain) ->
-      let nchunks = !total in
-      adopt_snapshot t m chain;
-      obs_span t ~name:"state_transfer" ~round:t.round
-        ~args:
-          [ ("upto", string_of_int m.Fl_persist.Snapshot.m_upto);
-            ("chunks", string_of_int nchunks);
-            ("retries", string_of_int !retries) ]
-        ~t_begin:start ~t_end:(now t) ();
-      t.output.on_transfer ~upto:m.Fl_persist.Snapshot.m_upto ~chunks:nchunks
-        ~retries:!retries
+  let half_a, half_b = t.halves in
+  Env.incr t.env "equivocations";
+  variant half_a;
+  variant half_b
 
-(* One scheduling step of a node outside the active membership.
-   Joiners: state-transfer once, then follow the chain (pull blocks
-   round by round) until the epoch that includes them activates.
-   Leavers: hand pending txs to a survivor, then park — service
-   fibers keep answering pulls, the main fiber stays quiet. *)
-let observer_step t =
-  if t.was_member then begin
-    if not t.handoff_done then begin
-      t.handoff_done <- true;
-      do_handoff t
-    end;
-    Fiber.sleep (engine t) (Time.ms 100)
+(* ---------- the main loop (Algorithm 2) ---------- *)
+
+let nil_path t ~k =
+  Env.incr t.env "wrb_nil";
+  Env.instant t.env ~name:"nil_round" ~round:t.round
+    ~args:[ ("proposer", string_of_int k) ]
+    ();
+  Detector.record_timeout t.detector ~proposer:k;
+  t.full_mode <- true;
+  t.attempt <- t.attempt + 1;
+  t.proposer <- Rotation.successor t.rotation ~round:t.round t.proposer
+
+let round_step t =
+  Sync.maybe_catch_up t.sync ~abort:t.abort;
+  refresh_epoch t;
+  Sync.unwedge t.sync;
+  (* lines b1–b3: skip proposers of the last f tentative blocks *)
+  let recent = recent_proposers t (f_of t) in
+  let chosen =
+    Rotation.eligible t.rotation ~round:t.round ~recent t.proposer
+  in
+  if chosen <> t.proposer then begin
+    t.proposer <- chosen;
+    Detector.invalidate t.detector
+  end;
+  let k = t.proposer in
+  (* proposer duties at round start *)
+  if k = me t then begin
+    match t.behavior with
+    | Equivocator -> equivocate_push t
+    | Honest ->
+        (* lines 6–11: the previous attempt failed — push directly *)
+        if t.full_mode then Wrb.push t.wrb ~round:t.round
   end
-  else if t.definite_upto < 0 && Store.length t.store = 0 then begin
-    state_transfer t;
-    if t.definite_upto < 0 then Fiber.sleep (engine t) (Time.ms 20)
-  end
-  else begin
-    maybe_catch_up t;
-    if not (pull_round t ~r:t.round ~timeout:(min (Timer.current t.timer) (Time.ms 100)))
-    then Fiber.sleep (engine t) (Time.ms 10)
-  end
+  else if predicted_next t ~k = me t && t.behavior = Honest
+          && t.config.Config.piggyback && t.config.Config.separate_bodies
+  then
+    (* start shipping the next body early; the header follows on the
+       OBBC vote *)
+    Wrb.pre_disseminate t.wrb;
+  match
+    Wrb.deliver t.wrb ~round:t.round ~attempt:t.attempt ~era:t.era ~k
+      ~abort:t.abort
+  with
+  | None -> nil_path t ~k
+  | Some (p, txs, header_at) ->
+      t.full_mode <- false;
+      Detector.record_delivery t.detector ~proposer:k;
+      if not (t.valid { Block.header = p.Types.sh.Types.header; txs }) then begin
+        (* Delivered (weak agreement) but externally invalid — every
+           correct node evaluates the same deterministic predicate on
+           the same content, so all reject together (BBFC-Validity). *)
+        Env.incr t.env "externally_invalid_blocks";
+        nil_path t ~k
+      end
+      else if String.equal p.Types.sh.Types.header.Header.prev_hash
+                (Store.last_hash t.store)
+      then accept_block t p txs ~header_at
+      else begin
+        (* lines b4–b10: provable chain inconsistency *)
+        match Hashtbl.find_opt t.signed_headers (t.round - 1) with
+        | Some earlier
+          when not (Panic.handled t.panic p.Types.sh.Types.header.Header.round)
+          ->
+            let proof = { Types.later = p.Types.sh; earlier } in
+            Env.incr t.env "proofs_generated";
+            Env.instant t.env ~name:"proof" ~round:t.round
+              ~args:
+                [ ( "against",
+                    string_of_int p.Types.sh.Types.header.Header.proposer ) ]
+              ();
+            Panic.panic t.panic proof;
+            handle_panics t
+        | _ ->
+            (* stale equivocation remnant or unprovable: failed round *)
+            nil_path t ~k
+      end
 
 let main_loop t =
   while not t.stopped do
@@ -1756,82 +549,15 @@ let main_loop t =
       | exception Race.Aborted -> handle_panics t
     end
     else
-      match observer_step t with
+      match
+        Transfer.step t.transfer ~was_member:t.was_member ~abort:t.abort
+      with
       | () -> ()
       | exception Race.Aborted ->
           (* the watchdog's staleness abort is a member-path signal;
              outside the membership just re-arm and keep following *)
           t.abort <- Ivar.create (engine t)
   done
-
-(* ---------- service fibers ---------- *)
-
-let serve_push t ~src = function
-  | Msg.Push { proposal } -> note_proposal t ~src proposal
-  | _ -> ()
-
-let serve_body t ~src:_ = function
-  | Msg.Body { body_hash; txs; ttl } ->
-      let bh = Bodies.received_hash t.bodies ~claimed:body_hash txs in
-      let fresh = not (Bodies.mem t.bodies bh) in
-      ignore (store_body t txs ~bh ~at:(now t));
-      (match t.config.Config.dissemination with
-      | Config.Gossip fanout when fresh && ttl > 0 ->
-          multicast t ~dsts:(gossip_peers t fanout)
-            (Msg.Body { body_hash = bh; txs; ttl = ttl - 1 })
-      | _ -> ())
-  | _ -> ()
-
-let serve_reply t ~src = function
-  | Msg.Reply { round; proposal; txs } ->
-      let bh =
-        Bodies.received_hash t.bodies
-          ~claimed:proposal.Types.sh.Types.header.Header.body_hash txs
-      in
-      ignore (store_body t txs ~bh ~at:(now t));
-      note_proposal t ~src proposal;
-      (* Remember whole fetched blocks for the catch-up sync. *)
-      let h = proposal.Types.sh.Types.header in
-      if
-        round = h.Header.round
-        && round >= t.round
-        && (not (Hashtbl.mem t.fetched round))
-        && Types.signed_header_valid t.env.Env.registry proposal.Types.sh
-      then begin
-        Hashtbl.replace t.fetched round (proposal.Types.sh, txs);
-        pulse_fill t
-      end
-  | _ -> ()
-
-let serve_pull t ~src = function
-  | Msg.Req { round = r } -> (
-      let answer =
-        match (Store.get t.store r, Hashtbl.find_opt t.signed_headers r) with
-        | Some b, Some sh
-          when Array.length b.Block.txs = b.Block.header.Header.tx_count ->
-            Some (sh, b.Block.txs)
-        | _ ->
-            (* not appended yet: serve from the stash *)
-            Hashtbl.fold
-              (fun _src (p, _) acc ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                    let h = p.Types.sh.Types.header in
-                    if h.Header.round = r then
-                      match Bodies.find t.bodies h.Header.body_hash with
-                      | Some txs -> Some (p.Types.sh, txs)
-                      | None -> None
-                    else None)
-              t.stash None
-      in
-      match answer with
-      | Some (sh, txs) ->
-          send t ~dst:src
-            (Msg.Reply
-               { round = r; proposal = { Types.sh; body = None }; txs })
-      | None -> ())
-  | _ -> ()
 
 (* ---------- construction ---------- *)
 
@@ -1853,7 +579,7 @@ let adopt_recovered t (r : Fl_persist.Recovery.recovered) =
             { Types.header = b.Block.header; signature }
       | None -> ())
     r.Fl_persist.Recovery.r_sigs;
-  obs_instant t ~name:"boot_recovered"
+  Env.instant t.env ~name:"boot_recovered"
     ~args:
       [ ("len", string_of_int (Store.length t.store));
         ("definite", string_of_int t.definite_upto);
@@ -1883,58 +609,77 @@ let create env ~config ?(behavior = Honest) ?(valid = fun _ -> true) ?persist
         in
         split (config.Config.n / 2) [] l
   in
+  let store = Store.create () in
+  let mempool = Mempool.create ~capacity:config.Config.mempool_capacity () in
+  let timer = Timer.create config and detector = Detector.create config in
+  let bodies = Bodies.create () in
+  let acc = Accountability.create env ~on_evidence:output.on_evidence in
+  (* The algorithm modules reach back into the chain core through
+     closures over the instance, which exists only once they do. *)
+  let self = ref None in
+  let it () = Option.get !self in
+  let round () = (it ()).round and definite_upto () = (it ()).definite_upto in
+  let epoch_at r = epoch_at (it ()) r and appended r = appended (it ()) r in
+  let admits ~round = admits (it ()) ~round in
+  let wrb =
+    Wrb.create env ~config ~valid ~store ~mempool ~bodies ~timer ~detector ~acc
+      ~round ~admits ~epoch_at ~appended
+      ~piggyback:(fun ~k -> should_piggyback (it ()) ~k)
+  in
+  let sync =
+    Sync.create env ~config ~valid ~store ~bodies ~timer ~wrb ~round
+      ~definite_upto ~appended ~accept:(fun p -> accept_block (it ()) p)
+      ~rescind_tentative:(fun () -> rescind_tentative_suffix (it ()))
+      ~resume:(fun () -> resume (it ()))
+  in
+  let panic =
+    Panic.create env ~config ~store ~detector ~acc ~wrb ~round ~appended
+      ~epoch_at ~admits ~rescind:(fun ~from -> rescind_suffix (it ()) ~from)
+      ~interrupt:(fun () -> ignore (Ivar.try_fill (it ()).abort ()))
+      ~recovered:(fun ~round -> next_era (it ()) ~round)
+  in
+  let transfer =
+    Transfer.create env ~store ~mempool ~persist ~wrb ~sync ~round
+      ~definite_upto ~era:(fun () -> (it ()).era) ~epoch_at
+      ~adopt_chain:(fun src -> adopt_chain (it ()) src)
+      ~stopped:(fun () -> (it ()).stopped) ~on_transfer:output.on_transfer
+  in
   let t =
     { env;
-    config;
-    behavior;
-    valid;
-    output;
-    store = Store.create ();
-    mempool = Mempool.create ~capacity:config.Config.mempool_capacity ();
-    timer = Timer.create config;
-    detector = Detector.create config;
-    rotation = Rotation.create config ~seed:env.Env.seed;
-    bodies = Bodies.create ();
-    stash = Hashtbl.create 16;
-    fetched = Hashtbl.create 64;
-    signed_headers = Hashtbl.create 1024;
-    my_signed = Hashtbl.create 64;
-    evidence_log = Hashtbl.create 8;
-    pulse = Ivar.create engine;
-    prepared = Queue.create ();
-    own_in_flight = Hashtbl.create 8;
-    pool_txs = Hashtbl.create 8;
-    round = 0;
-    attempt = 0;
-    era = 0;
-    proposer = 0;
-    full_mode = true;
-    definite_upto = -1;
-    open_obbcs = Hashtbl.create 64;
-    times = Hashtbl.create 64;
-    abort = Ivar.create engine;
-    pending_proofs = [];
-    handled_recoveries = Hashtbl.create 8;
-    version_boxes = Hashtbl.create 4;
-    rb = None;
-    ab = None;
-    evd = None;
-    rb_tag = 0;
-    evd_tag = 0;
-      next_tx_id = 0;
+      config;
+      behavior;
+      valid;
+      output;
+      store;
+      mempool;
+      timer;
+      detector;
+      rotation = Rotation.create config ~seed:env.Env.seed;
+      bodies;
+      signed_headers = Hashtbl.create 1024;
+      round = 0;
+      attempt = 0;
+      era = 0;
+      proposer = 0;
+      full_mode = true;
+      definite_upto = -1;
+      times = Hashtbl.create 64;
+      abort = Ivar.create engine;
       halves;
       stopped = false;
       genesis_epoch;
       epochs = [ genesis_epoch ];
       active_epoch = genesis_epoch;
       was_member = Epoch.is_member genesis_epoch env.Env.me;
-      handoff_done = false;
-      reconfig_fibers = false;
-      wedged = false;
-      segments = { Fl_persist.Snapshot.sealed = [] };
       persist;
-      boot_delay = 0 }
+      boot_delay = 0;
+      acc;
+      wrb;
+      sync;
+      panic;
+      transfer }
   in
+  self := Some t;
   if Epoch.n genesis_epoch < config.Config.n then
     Rotation.set_members t.rotation (Epoch.members genesis_epoch);
   (match persist with
@@ -1956,93 +701,25 @@ let create env ~config ?(behavior = Honest) ?(valid = fun _ -> true) ?persist
 
 let start t =
   let engine = engine t in
-  let channel key ~inj ~prj =
-    Channel.of_hub t.env.Env.hub ~key ~net:t.env.Env.net ~self:(me t)
-      ~f:(f_of t) ~encode:Msg.encode ~inj ~prj
-  in
-  (* Panic layer: reliable broadcast of proofs. *)
-  t.rb <-
-    Some
-      (Fl_broadcast.Bracha.create engine ~recorder:(recorder t)
-         ~channel:
-           (channel Msg.Proofs
-              ~inj:(fun m -> Msg.Rb m)
-              ~prj:(function Msg.Rb m -> m | _ -> assert false))
-         ~payload_digest:Types.proof_digest
-         ~deliver:(fun ~origin:_ ~tag:_ proof -> enqueue_proof t proof));
-  (* Accountability layer: reliable broadcast of equivocation
-     evidence, so one node's sighting becomes everyone's. Keyed by
-     payload digest like the proof channel — an equivocating relay
-     cannot split the quorum. *)
-  t.evd <-
-    Some
-      (Fl_broadcast.Bracha.create engine ~recorder:(recorder t)
-         ~channel:
-           (channel Msg.Evidence
-              ~inj:(fun m -> Msg.Evd m)
-              ~prj:(function Msg.Evd m -> m | _ -> assert false))
-         ~payload_digest:Types.evidence_digest
-         ~deliver:(fun ~origin:_ ~tag:_ ev -> note_evidence ~relay:false t ev));
-  (* Recovery layer: atomic broadcast of versions. *)
-  let ab_config =
-    { (Pbft.default_config ~payload_digest:Types.version_digest) with
-      Pbft.max_batch = 4;
-      window = 4;
-      base_timeout = Time.ms 500 }
-  in
-  t.ab <-
-    Some
-      (Pbft.create engine ~recorder:(recorder t)
-         ~channel:
-           (channel Msg.Versions
-              ~inj:(fun m -> Msg.Ab m)
-              ~prj:(function Msg.Ab m -> m | _ -> assert false))
-         ~cpu:t.env.Env.cpu ~config:ab_config
-         ~deliver:(fun ~seq:_ v ->
-           Mailbox.send (version_box t v.Types.recovery_round) v));
-  serve t Msg.Pushes (serve_push t);
-  serve t Msg.Bodies (serve_body t);
-  serve t Msg.Replies (serve_reply t);
-  serve t Msg.Pulls (serve_pull t);
+  (* The spawn order is part of the simulated schedule: the proof RB,
+     the evidence RB, the version AB, then the service fibers. *)
+  Panic.start_proofs t.panic;
+  Accountability.start t.acc;
+  Panic.start_versions t.panic;
+  Wrb.start t.wrb;
+  Sync.start t.sync;
   (* Reconfigurable clusters (partial genesis membership, or a
      schedule restored from disk) need the state-transfer/handoff
      fibers; fully static clusters skip them entirely. *)
   if Epoch.n t.genesis_epoch < n_of t || List.length t.epochs > 1 then
-    ensure_reconfig_fibers t;
-  (* Staleness watchdog: the main fiber may be parked in a round the
-     rest of the cluster abandoned long ago (e.g. after a long
-     isolation) — no quorum will ever form there. When stashed signed
-     proposals show the cluster far ahead, abort the wait so the loop
-     falls into the catch-up sync. Post-reconfiguration a second,
-     slower trip covers the one-round wedge: a joiner that became a
-     member after its first round's OBBC already completed among the
-     veterans waits for votes that can never come, and with exactly
-     n - f live members the rest of the cluster cannot outrun it to
-     arm the far-ahead trip. A signed proposal for any later round
-     plus a full second without progress is proof enough; the main
-     loop then pulls the missed block instead of waiting. *)
+    Transfer.ensure_fibers t.transfer;
+  (* The staleness watchdog (see {!Sync.watchdog}). *)
   Fiber.spawn engine (fun () ->
-      let stuck_at = ref (-1) and stuck_ticks = ref 0 in
+      let stale = Sync.watchdog t.sync in
       while not t.stopped do
         Fiber.sleep engine (Time.ms 250);
-        if max_stash_round t - (f_of t + 2) >= t.round + f_of t + 4 then
+        if stale ~reconfigured:(t.active_epoch.Epoch.index > 0) then
           ignore (Ivar.try_fill t.abort ())
-        else begin
-          if t.round = !stuck_at then incr stuck_ticks
-          else begin
-            stuck_at := t.round;
-            stuck_ticks := 0
-          end;
-          if
-            t.active_epoch.Epoch.index > 0
-            && !stuck_ticks >= 4
-            && max_stash_round t > t.round
-          then begin
-            t.wedged <- true;
-            stuck_ticks := 0;
-            ignore (Ivar.try_fill t.abort ())
-          end
-        end
       done);
   (match t.persist with
   | Some per -> Fl_persist.Node.maybe_start_flusher per
@@ -2050,7 +727,7 @@ let start t =
   Fiber.spawn engine (fun () ->
       if t.boot_delay > 0 then begin
         Fiber.sleep engine t.boot_delay;
-        obs_instant t ~name:"boot_replay_done" ~round:t.round ()
+        Env.instant t.env ~name:"boot_replay_done" ~round:t.round ()
       end;
       main_loop t)
 
@@ -2061,20 +738,14 @@ let start t =
    the simulator. *)
 let shutdown t =
   t.stopped <- true;
-  t.pending_proofs <- [];
+  Panic.halt t.panic;
   ignore (Ivar.try_fill t.abort ());
-  Hashtbl.iter (fun _ o -> Obbc.close o) t.open_obbcs;
-  Hashtbl.reset t.open_obbcs;
-  (match t.rb with Some rb -> Fl_broadcast.Bracha.halt rb | None -> ());
-  (match t.evd with Some b -> Fl_broadcast.Bracha.halt b | None -> ());
-  match t.ab with Some ab -> Pbft.halt ab | None -> ()
+  Wrb.close_all t.wrb;
+  Accountability.halt t.acc
+
 let store t = t.store
 let mempool t = t.mempool
-
-let inflight_client_txs t =
-  Hashtbl.fold
-    (fun _ batch acc -> Array.fold_left (fun acc p -> p :: acc) acc batch)
-    t.pool_txs []
+let inflight_client_txs t = Wrb.client_txs t.wrb
 let round t = t.round
 let definite_upto t = t.definite_upto
 let era t = t.era
@@ -2085,10 +756,7 @@ let is_member t = Epoch.is_member (epoch_at t t.round) (me t)
 let submit_reconfig t change =
   ignore (Mempool.admit t.mempool (Epoch.reconfig_tx change) ~fee:max_int)
 
-let accused t =
-  let s = Hashtbl.create 4 in
-  Hashtbl.iter (fun _ ev -> Hashtbl.replace s ev.Types.accused ()) t.evidence_log;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) s [])
+let accused t = Accountability.accused t.acc
 
 let tee_output a b =
   { on_tentative =

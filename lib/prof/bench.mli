@@ -25,7 +25,6 @@ type file = {
   f_kernels : kernel list;
 }
 
-val schema_name : string
 val schema_version : int
 
 val host_fingerprint : unit -> string
@@ -57,9 +56,6 @@ val of_json : string -> (file, string) result
 (** Validates the schema name and version and every kernel field —
     decoding {e is} schema validation. [of_json (to_json f)] succeeds
     and round-trips every field exactly. *)
-
-val filename : area:string -> string
-(** ["BENCH_<area>.json"]. *)
 
 val write_file : dir:string -> file -> string
 (** Write [to_json] under [dir]; returns the path. *)

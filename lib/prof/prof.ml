@@ -32,9 +32,6 @@ let n_subs = 6
 let names =
   [| "engine"; "codec_encode"; "codec_decode"; "sha256"; "wal"; "obs" |]
 
-let name_of s =
-  if s < 0 || s >= n_subs then invalid_arg "Prof.name_of" else names.(s)
-
 let on = ref false
 
 (* Injectable clock so tests can drive the accounting with exact

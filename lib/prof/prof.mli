@@ -48,8 +48,6 @@ val wal : sub  (** durable-record framing and replay parsing *)
 
 val obs : sub  (** structured-span sink push *)
 
-val name_of : sub -> string
-
 val on : bool ref
 (** The master switch instrumented sites read. Use {!enable} /
     {!disable} rather than flipping it directly. *)

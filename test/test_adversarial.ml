@@ -254,6 +254,54 @@ let test_pbft_equivocating_leader_blocks_divergence () =
         <= 1))
     seqs
 
+(* ---------- teardown frames from a peer ---------- *)
+
+(* OBBC's [Close] and BBC's [Stop] tear an instance down, so only the
+   node itself may issue them. Node 3 runs the honest protocol and also
+   floods node 0 with both, for the rounds node 0 is about to run: an
+   OBBC [Close] frame, and an OBBC [Fallback] frame whose BBC payload
+   is spelled as a [Stop] (tag 3, written by hand: the BBC codec has no
+   encoding for it). Returns each node's definite watermark after 1 s. *)
+let teardown_flood ~flood =
+  let open Fl_fireledger in
+  let config = { (Config.default ~n:4) with Config.batch_size = 10 } in
+  let c = Cluster.create ~seed:7 ~config () in
+  Cluster.start c;
+  let send bytes = Net.send c.Cluster.net ~src:3 ~dst:0 bytes in
+  let stop_frame ~era ~round =
+    Envelope.seal ~tag:2 (fun w ->
+        List.iter (Codec.Writer.varint w) [ era; round; 0 ];
+        Codec.Writer.u8 w 3;
+        Codec.Writer.u8 w 3)
+  in
+  Alcotest.(check bool) "a BBC stop frame does not decode" true
+    (Msg.decode (stop_frame ~era:0 ~round:1) = None);
+  if flood then
+    Fiber.spawn c.Cluster.engine (fun () ->
+        for _ = 1 to 100 do
+          let inst = c.Cluster.instances.(0) in
+          let era = Instance.era inst and r = Instance.round inst in
+          for round = r to r + 1 do
+            send (Msg.encode (Msg.Ob { era; round; attempt = 0; m = Obbc.Close }));
+            send (stop_frame ~era ~round)
+          done;
+          Fiber.sleep c.Cluster.engine (Time.ms 10)
+        done);
+  Cluster.run ~until:(Time.s 1) c;
+  Array.map Instance.definite_upto c.Cluster.instances
+
+let test_teardown_flood () =
+  let clean = teardown_flood ~flood:false in
+  let flooded = teardown_flood ~flood:true in
+  Array.iteri
+    (fun i d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d keeps pace (%d vs %d definite rounds)" i
+           flooded.(i) d)
+        true
+        (10 * flooded.(i) >= 9 * d))
+    clean
+
 let suite =
   [ Alcotest.test_case "bbc equivocating est" `Quick test_bbc_equivocating_est;
     Alcotest.test_case "obbc forged evidence" `Quick
@@ -261,4 +309,6 @@ let suite =
     Alcotest.test_case "obbc fake fast path" `Quick
       test_obbc_byzantine_cannot_fake_fast_path;
     Alcotest.test_case "pbft equivocating leader" `Quick
-      test_pbft_equivocating_leader_blocks_divergence ]
+      test_pbft_equivocating_leader_blocks_divergence;
+    Alcotest.test_case "peer cannot tear down obbc or bbc" `Quick
+      test_teardown_flood ]

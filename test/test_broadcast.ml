@@ -139,21 +139,23 @@ let test_atomic_order () =
     World.make ~seed:31 ~n ~key:ab_key ~encode:ab_encode ~decode:ab_decode ()
   in
   let delivered = Array.make n [] in
-  let endpoints =
+  let replicas =
     Array.init n (fun i ->
-        Atomic.create w.World.engine ~recorder:w.World.recorder
+        Fl_consensus.Pbft.create w.World.engine ~recorder:w.World.recorder
           ~channel:(World.channel w ~node:i ~key:"ab")
           ~cpu:w.World.cpus.(i)
-          ~payload_digest:Fl_crypto.Sha256.digest
-          ~deliver:(fun p -> delivered.(i) <- p :: delivered.(i)))
+          ~config:
+            (Fl_consensus.Pbft.default_config
+               ~payload_digest:Fl_crypto.Sha256.digest)
+          ~deliver:(fun ~seq:_ p -> delivered.(i) <- p :: delivered.(i)))
   in
   Fiber.spawn w.World.engine (fun () ->
-      Atomic.broadcast endpoints.(3) "v3";
-      Atomic.broadcast endpoints.(1) "v1";
+      Fl_consensus.Pbft.submit replicas.(3) "v3";
+      Fl_consensus.Pbft.submit replicas.(1) "v1";
       Fiber.sleep w.World.engine (Time.ms 2);
-      Atomic.broadcast endpoints.(2) "v2");
+      Fl_consensus.Pbft.submit replicas.(2) "v2");
   World.run ~until:(Time.s 10) w;
-  Array.iter Atomic.stop endpoints;
+  Array.iter Fl_consensus.Pbft.halt replicas;
   World.run ~until:(Time.s 11) w;
   Alcotest.(check int) "three delivered" 3 (List.length delivered.(0));
   for i = 1 to n - 1 do

@@ -86,8 +86,7 @@ let gen_bbc =
          let+ value = bool in
          Aux { round; value });
         (let+ v = bool in
-         Decide v);
-        return Stop ])
+         Decide v) ])
 
 let gen_obbc =
   QCheck.Gen.(
@@ -155,8 +154,7 @@ let gen_pbft =
               let+ prepared = list_size (int_range 0 2) gen_prepared_entry in
               (sender, (last_exec, prepared)))
          in
-         New_view { view; vcs });
-        return Stop ])
+         New_view { view; vcs }) ])
 
 let gen_msg =
   QCheck.Gen.(

@@ -226,7 +226,7 @@ let test_pbft_total_order () =
       Fiber.sleep w.World.engine (Time.ms 1);
       submit 0 "delta");
   World.run ~until:(Time.s 10) w;
-  Array.iter (function Some r -> Pbft.stop r | None -> ()) replicas;
+  Array.iter (function Some r -> Pbft.halt r | None -> ()) replicas;
   World.run ~until:(Time.s 11) w;
   let seqs = Array.map List.rev delivered in
   Alcotest.(check int) "all four delivered" 4 (List.length seqs.(0));
